@@ -13,6 +13,7 @@ Every check is exact; nothing here tolerates approximation.
 """
 
 from itertools import combinations
+import math
 
 from .fields import SymbolicField, root_of_unity
 from .matrices import RowSpace, SquareMatrix, UniPoly, nullspace_dim, vec
@@ -377,10 +378,7 @@ def deligne_check(spec):
     for r in range(1, d):
         lhs = total ** (6 * r)
         for subset in combinations(spec.eigenvalues, r):
-            sub = subset[0]
-            for lam in subset[1:]:
-                sub = sub * lam
-            if lhs == sub ** (6 * d):
+            if lhs == math.prod(subset[1:], start=subset[0]) ** (6 * d):
                 return False
     return True
 

@@ -244,27 +244,18 @@ _SAMPLERS = {
 def _scan_row(index, spec, args):
     eigs = ";".join(lam.render() for lam in spec.eigenvalues)
     root = spec.root_param.render() if spec.root_param is not None else ""
-    try:
-        report = is_simple(spec)
-    except Exception as exc:  # recorded in-row, the sweep continues
-        tag = "error:%s" % type(exc).__name__
-        return [str(index), eigs, root, tag, "", "", "", "", ""]
-    simple = _plain(report.simple)
+    report = is_simple(spec)
     vanishing = "|".join(label for label, _ in report.vanishing_factors)
-    try:
-        flags = sl2z_flags(spec)
-        sl2z, psl2z = _plain(flags[0]), _plain(flags[1])
-    except Exception as exc:
-        sl2z = psl2z = "error:%s" % type(exc).__name__
+    sl2z, psl2z = sl2z_flags(spec)
     oracle = agree = ""
     if args.oracle == "burnside":
-        try:
-            value = burnside_oracle(build_rep(spec))
-            oracle = _plain(value)
-            agree = "agree" if value == report.simple else "disagree"
-        except Exception as exc:
-            oracle = "error:%s" % type(exc).__name__
-    return [str(index), eigs, root, simple, vanishing, sl2z, psl2z, oracle, agree]
+        value = burnside_oracle(build_rep(spec))
+        oracle = _plain(value)
+        agree = "agree" if value == report.simple else "disagree"
+    return [
+        str(index), eigs, root, _plain(report.simple), vanishing,
+        _plain(sl2z), _plain(psl2z), oracle, agree,
+    ]
 
 
 def cmd_scan(args):
@@ -275,10 +266,13 @@ def cmd_scan(args):
     rng = random.Random(args.seed)
     sampler = _SAMPLERS[args.kind]
     print(",".join(SCAN_COLUMNS))
+    ok = True
     for index in range(args.count):
         spec = sampler(args.dim, rng, bound=args.bound)
-        print(",".join(_scan_row(index, spec, args)))
-    return OK
+        row = _scan_row(index, spec, args)
+        ok = ok and row[-1] != "disagree"
+        print(",".join(row))
+    return OK if ok else CHECK_FAILED
 
 
 def cmd_dims(args):

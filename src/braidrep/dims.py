@@ -12,6 +12,8 @@ along that route and compares them with a catalog of closed bracket
 formulas for two series, reporting exact equality per summand.
 """
 
+import math
+
 from .classify import p_poly, q_closed
 from .fields import SymbolicField, VarContext
 
@@ -224,9 +226,7 @@ def _verify_exceptional():
     u, w = ctx.base, ctx.weight
     eigenvalues = [u ** 12, -(u ** 6), -one, w ** 2, u ** 2 * w ** -2]
     gamma = u ** 4
-    product = one
-    for lam in eigenvalues:
-        product = product * lam
+    product = math.prod(eigenvalues, start=one)
     # the fifth-root and central-scalar conventions the route relies on
     if gamma ** 5 != product or product != u ** 20:
         raise RuntimeError("eigenvalue product breaks the fifth-root convention")

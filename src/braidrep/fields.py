@@ -249,7 +249,7 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return Scalar(self.field, self.field._add(self.value, self.field._neg(other.value)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -506,17 +506,21 @@ class NumberField:
         return tuple(self._reduce(out))
 
     def _inv(self, a):
-        # extended Euclid in Q[x] against the modulus
-        r0, r1 = list(self.modulus), list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        lead = next(c for c in reversed(r0) if c != 0)
-        if any(c != 0 for c in r0[1:]):
+        # solve a*b = 1 over Q: column k of the system holds a*z^k
+        from .matrices import RowSpace  # local: matrices imports fields
+
+        q = RationalField()
+        n = self.degree
+        columns = [list(a)]
+        for _ in range(n - 1):
+            columns.append(self._reduce([Fraction(0)] + columns[-1]))
+        space = RowSpace(q, n + 1, (
+            [Scalar(q, col[i]) for col in columns] + [q.one if i == 0 else q.zero]
+            for i in range(n)
+        ))
+        if space.pivots != list(range(n)):
             raise ZeroDivisionError("zero divisor: modulus is not irreducible")
-        return tuple(self._reduce([c / lead for c in s0]))
+        return tuple(row[n].value for row in space.rows)
 
     def _is_zero(self, a):
         return all(c == 0 for c in a)
@@ -579,34 +583,6 @@ class NumberField:
         return "NumberField(%s)" % self._render(
             tuple(self.modulus[:-1]) if self.degree > 0 else ()
         )
-
-
-def _polydivmod(a, b):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c != 0)
-    q = [Fraction(0)] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i] == 0:
-            continue
-        f = a[i] / b[db]
-        q[i - db] = f
-        for j in range(db + 1):
-            a[i - db + j] -= f * b[j]
-    return q, a[:db] if db > 0 else [Fraction(0)]
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    return [a[i] - (b[i] if i < len(b) else 0) for i in range(n)]
 
 
 def cyclotomic_field(n, gen_name="z"):

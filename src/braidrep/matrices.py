@@ -4,7 +4,9 @@ Everything here works for any field object from :mod:`braidrep.fields`:
 rationals, rational functions, or number fields.  Sizes stay tiny (at most
 8x8), so the algorithms favour exactness and clarity over asymptotics.
 Determinants use a memoized Laplace expansion over column subsets, which is
-division free; inverses and ranks use fraction-level Gauss-Jordan.
+division free.  Every elimination (ranks, nullspaces, inverses, minimal
+polynomials) goes through one kernel, the incremental reduced echelon form
+RowSpace.
 """
 
 from __future__ import annotations
@@ -178,20 +180,15 @@ class SquareMatrix:
 
     def inverse(self):
         n = self.dim
-        field = self.field
-        aug = [list(self.rows[i]) + [field.one if j == i else field.zero for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = aug[col][col].inv()
-            aug[col] = [inv * x for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    factor = aug[r][col]
-                    aug[r] = [aug[r][k] - factor * aug[col][k] for k in range(2 * n)]
-        return SquareMatrix(field, [row[n:] for row in aug])
+        one, zero = self.field.one, self.field.zero
+        space = RowSpace(self.field, 2 * n, (
+            list(row) + [one if j == i else zero for j in range(n)]
+            for i, row in enumerate(self.rows)
+        ))
+        # [M | I] reduces to [I | M^-1] exactly when M is invertible
+        if space.pivots != list(range(n)):
+            raise ZeroDivisionError("matrix is singular")
+        return SquareMatrix(self.field, [row[n:] for row in space.rows])
 
     def is_zero(self):
         return all(x.is_zero() for r in self.rows for x in r)
@@ -346,55 +343,26 @@ def char_poly(m):
 
 
 def min_poly(m):
-    """Monic minimal polynomial: first linear dependency among I, M, M^2, ..."""
-    field = m.field
-    powers = [SquareMatrix.identity(field, m.dim)]
-    vectors = [vec(powers[0])]
-    while True:
-        nxt = powers[-1] * m
-        target = vec(nxt)
-        combo = solve_linear(field, [list(v) for v in vectors], target)
-        if combo is not None:
-            coeffs = [-c for c in combo] + [field.one]
-            return UniPoly(field, coeffs)
-        powers.append(nxt)
-        vectors.append(target)
+    """Monic minimal polynomial: first linear dependency among I, M, M^2, ...
 
-
-def solve_linear(field, columns, target):
-    """Solve sum_j x_j * columns[j] = target exactly; None when inconsistent.
-
-    columns is a list of equal-length coordinate lists.  Assumes the columns
-    are linearly independent, which holds for the power-sequence caller.
+    Each power is reduced as vec(M^k) tagged with the unit vector e_k; once
+    the vec part reduces to zero, the tag part holds the coefficients of a
+    polynomial that kills M, with leading coefficient 1 at t^k.
     """
-    k = len(columns)
-    rows = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
-    pivot_rows = []
-    for col in range(k):
-        pivot = None
-        for r, row in enumerate(rows):
-            if r in pivot_rows:
-                continue
-            if not row[col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        inv = rows[pivot][col].inv()
-        rows[pivot] = [inv * x for x in rows[pivot]]
-        for r in range(len(rows)):
-            if r != pivot and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [rows[r][i] - f * rows[pivot][i] for i in range(k + 1)]
-        pivot_rows.append(pivot)
-    # consistency: every non-pivot row must have zero residual
-    for r, row in enumerate(rows):
-        if r not in pivot_rows and not row[k].is_zero():
-            return None
-    solution = [field.zero] * k
-    for col, r in enumerate(pivot_rows):
-        solution[col] = rows[r][k]
-    return solution
+    field = m.field
+    n = m.dim
+    square = n * n
+    space = RowSpace(field, square + n + 1)
+    power = SquareMatrix.identity(field, n)
+    # Cayley-Hamilton: a dependency turns up by k = n
+    for k in range(n + 1):
+        tag = [field.zero] * (n + 1)
+        tag[k] = field.one
+        v = space.reduce(vec(power) + tag)
+        if all(x.is_zero() for x in v[:square]):
+            return UniPoly(field, v[square:])
+        space.insert(v)
+        power = power * m
 
 
 def rref(field, rows):
@@ -402,24 +370,8 @@ def rref(field, rows):
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped.
     """
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = work[rank][col].inv()
-        work[rank] = [inv * x for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [work[r][i] - f * work[rank][i] for i in range(ncols)]
-        pivots.append(col)
-        rank += 1
-    return work[:rank], pivots
+    space = RowSpace(field, len(rows[0]) if rows else 0, rows)
+    return space.rows, space.pivots
 
 
 def matrix_rank(m):
@@ -429,47 +381,42 @@ def matrix_rank(m):
 
 def nullspace_basis(field, rows, ncols):
     """Basis of the right nullspace of the given row list, as coordinate lists."""
-    if not rows:
-        ident = []
-        for j in range(ncols):
-            v = [field.zero] * ncols
-            v[j] = field.one
-            ident.append(v)
-        return ident
-    reduced, pivots = rref(field, rows)
-    free = [j for j in range(ncols) if j not in pivots]
+    space = RowSpace(field, ncols, rows)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in space.pivots:
+            continue
         v = [field.zero] * ncols
         v[f] = field.one
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
+        for row, p in zip(space.rows, space.pivots):
+            v[p] = -row[f]
         basis.append(v)
     return basis
 
 
 def nullspace_dim(field, rows, ncols):
-    if not rows:
-        return ncols
-    reduced, _ = rref(field, rows)
-    return ncols - len(reduced)
+    return ncols - RowSpace(field, ncols, rows).rank
 
 
 class RowSpace:
     """Incrementally maintained row space in reduced echelon form.
 
-    insert() returns True when the vector enlarged the span.  Used for the
-    span-of-words closure, where most candidate vectors are rejected and the
+    The package's one elimination routine: rref, nullspaces, inverses,
+    minimal polynomials and number-field inversion all reduce through it.
+    insert() returns True when the vector enlarged the span.  The span-of-words
+    closure inserts one candidate at a time; most are rejected, and the
     incremental reduction keeps that cheap.
     """
 
     __slots__ = ("field", "ncols", "rows", "pivots")
 
-    def __init__(self, field, ncols):
+    def __init__(self, field, ncols, rows=()):
         self.field = field
         self.ncols = ncols
         self.rows = []
         self.pivots = []
+        for row in rows:
+            self.insert(row)
 
     @property
     def rank(self):

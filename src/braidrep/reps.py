@@ -74,10 +74,7 @@ class RepSpec:
                     if root_param ** 2 != l2 * l3 / (l1 * l4):
                         raise RepSpecError("root parameter squared must equal l2*l3/(l1*l4)")
                 else:
-                    prod = eigenvalues[0]
-                    for lam in eigenvalues[1:]:
-                        prod = prod * lam
-                    if root_param ** 5 != prod:
+                    if root_param ** 5 != math.prod(eigenvalues[1:], start=eigenvalues[0]):
                         raise RepSpecError("root parameter to the 5th must equal the eigenvalue product")
         elif family == BINOMIAL:
             if not 2 <= d <= 8:
@@ -97,10 +94,7 @@ class RepSpec:
         self.root_param = root_param
 
     def eigenvalue_product(self):
-        prod = self.eigenvalues[0]
-        for lam in self.eigenvalues[1:]:
-            prod = prod * lam
-        return prod
+        return math.prod(self.eigenvalues[1:], start=self.eigenvalues[0])
 
     def binomial_constant(self):
         if self.family != BINOMIAL:

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from braidrep import cli
 from braidrep.cli import main
 
 
@@ -257,6 +258,25 @@ def test_scan_rejects_unknown_dimension(capsys):
     code, _, err = run_cli(capsys, ["scan", "--dim", "7", "--count", "1"])
     assert code == 1
     assert "2..5" in err
+
+
+def test_scan_disagreeing_oracle_exits_two(capsys, monkeypatch):
+    real = cli.burnside_oracle
+    monkeypatch.setattr(cli, "burnside_oracle", lambda rep: not real(rep))
+    code, out, _ = run_cli(capsys, [
+        "scan", "--dim", "2", "--count", "2", "--seed", "5", "--oracle", "burnside",
+    ])
+    assert code == 2
+    assert [line.split(",")[8] for line in out.splitlines()[1:]] == ["disagree"] * 2
+
+
+def test_scan_internal_error_propagates(monkeypatch):
+    def broken(spec):
+        raise RuntimeError("classifier and obstruction list disagree")
+
+    monkeypatch.setattr(cli, "is_simple", broken)
+    with pytest.raises(RuntimeError, match="obstruction list"):
+        main(["scan", "--dim", "3", "--count", "1"])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from braidrep.fields import (
     BackendMismatch,
+    NumberField,
     ParseError,
     RationalField,
     SpecializationError,
@@ -172,6 +173,15 @@ def test_numberfield_inverse_round_trip():
         a = random_nonzero_scalar(k, rng)
         assert a * a.inv() == k.one
         assert k.parse(a.render()) == a
+
+
+def test_numberfield_zero_divisor_raises():
+    # z^2 - 1 = (z - 1)(z + 1) is reducible: z + 1 has no inverse, z does
+    k = NumberField.from_modulus_string("z^2-1")
+    z = k.gen
+    with pytest.raises(ZeroDivisionError, match="zero divisor"):
+        (z + 1).inv()
+    assert z.inv() == z
 
 
 def test_specialize_is_ring_homomorphism():

@@ -173,20 +173,45 @@ def test_row_space_incremental():
     assert rs.rank == 3
 
 
-def test_row_space_matches_batch_rank():
+def test_row_space_rank_known_by_construction():
+    # r basis vectors that restrict to the identity on r chosen columns are
+    # independent; a unitriangular mix of them plus extra combinations and a
+    # zero row spans a space of rank exactly r
     q = RationalField()
     rng = random.Random(515)
+    ncols = 6
     for _ in range(20):
-        vectors = [
-            [q.const(random_fraction(rng, 3)) for _ in range(5)] for _ in range(7)
-        ]
-        rs = RowSpace(q, 5)
+        r = rng.randint(1, 5)
+        chosen = rng.sample(range(ncols), r)
+        basis = []
+        for p in chosen:
+            v = [q.const(random_fraction(rng, 3)) for _ in range(ncols)]
+            for c in chosen:
+                v[c] = q.one if c == p else q.zero
+            basis.append(v)
+
+        def coeffs(k):
+            return [q.const(random_fraction(rng, 3)) for _ in range(k)]
+
+        def combine(cs):
+            return [sum((c * b[j] for c, b in zip(cs, basis)), q.zero) for j in range(ncols)]
+
+        vectors = [combine([q.zero] * i + [q.one] + coeffs(r - i - 1)) for i in range(r)]
+        vectors += [combine(coeffs(r)) for _ in range(3)]
+        vectors.append([q.zero] * ncols)
+        rng.shuffle(vectors)
+        rs = RowSpace(q, ncols)
         for v in vectors:
             rs.insert(v)
-        from braidrep.matrices import rref
-
-        reduced, _ = rref(q, vectors)
-        assert rs.rank == len(reduced)
+        assert rs.rank == r
+        assert all(rs.contains(v) for v in basis)
+        # reduced echelon form: strictly increasing pivots, each a 1 with
+        # zeros elsewhere in its column and before it in its row
+        assert rs.pivots == sorted(set(rs.pivots))
+        for i, (row, p) in enumerate(zip(rs.rows, rs.pivots)):
+            assert row[p] == q.one
+            assert all(x.is_zero() for x in row[:p])
+            assert all(other[p].is_zero() for k, other in enumerate(rs.rows) if k != i)
 
 
 def test_power_and_trace():
