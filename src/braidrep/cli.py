@@ -341,7 +341,7 @@ def build_parser():
     p = sub.add_parser("verify", help="re-check a pair read from JSON")
     p.add_argument("--file", help="JSON file (default: standard input)")
     p.add_argument(
-        "--check", choices=("all", "braid", "structure"), default="all",
+        "--check", choices=("all", "braid"), default="all",
         help="which identity set to run (default all)",
     )
     _add_format(p)

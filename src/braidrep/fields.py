@@ -6,12 +6,15 @@ BackendMismatch. Rational-function pairs are reduced only by extracting monomial
 and rational content from the denominator (never a full multivariate gcd), and
 equality is decided by cross-multiplication. Serialization uses a fixed
 graded-lexicographic term order over the context's declared variable order, so
-rendering is deterministic and parse(render(x)) == x.
+rendering is deterministic and parse(render(x)) == x. All three backends parse
+with one grammar, a polynomial or '(num)/(den)' over the backend's variables
+(none for the rationals, the generator for a number field), and refuse a zero
+denominator at parse time.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 import re
 
 
@@ -50,6 +53,9 @@ class VarContext:
 
     def __len__(self):
         return len(self.names)
+
+
+_NO_VARS = VarContext(())
 
 
 def _grlex_key(mono):
@@ -103,9 +109,6 @@ class LaurentPolynomial:
     def __neg__(self):
         return LaurentPolynomial(self.context, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         self._check(other)
         out = {}
@@ -128,24 +131,6 @@ class LaurentPolynomial:
         return LaurentPolynomial(
             self.context,
             {tuple(a + b for a, b in zip(m, mono)): c for m, c in self.terms.items()},
-        )
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        result = LaurentPolynomial.const(self.context, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def invert_variables(self):
-        """Substitute every variable by its inverse (negate all exponents)."""
-        return LaurentPolynomial(
-            self.context, {tuple(-e for e in m): c for m, c in self.terms.items()}
         )
 
     def sorted_terms(self):
@@ -176,9 +161,6 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self.context == other.context and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.context, frozenset(self.terms.items())))
 
     def render(self):
         if not self.terms:
@@ -211,6 +193,18 @@ def _render_fraction(c):
     if c.denominator == 1:
         return str(c.numerator)
     return "%d/%d" % (c.numerator, c.denominator)
+
+
+def square_and_multiply(base, k, one):
+    """one * base**k for an integer k >= 0 by square-and-multiply."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        if k > 1:
+            base = base * base
+        k >>= 1
+    return result
 
 
 class Scalar:
@@ -281,14 +275,7 @@ class Scalar:
             raise ValueError("scalar powers must be integers")
         if k < 0:
             return self.inv() ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return square_and_multiply(self, k, self.field.one)
 
     def is_zero(self):
         return self.field._is_zero(self.value)
@@ -344,7 +331,9 @@ class RationalField:
         return _render_fraction(a)
 
     def parse(self, text):
-        return Scalar(self, _parse_rational_string(text))
+        # over no variables every polynomial is its constant term
+        num, den = _parse_rf_string(_NO_VARS, text)
+        return Scalar(self, num.terms.get((), Fraction(0)) / den.terms[()])
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -445,8 +434,9 @@ class SymbolicField:
 
 class NumberField:
     """Q[x]/(m(x)) for a monic modulus m, elements as coefficient tuples of
-    length deg(m). The modulus is trusted to be irreducible; a reducible one
-    surfaces as a ZeroDivisionError on inversion of a zero divisor."""
+    length deg(m). A reducible quadratic modulus is refused; one of higher
+    degree is trusted to be irreducible, and a reducible one surfaces as a
+    ZeroDivisionError on inversion of a zero divisor."""
 
     mode = "algebraic"
 
@@ -457,6 +447,10 @@ class NumberField:
         self.modulus = modulus
         self.degree = len(modulus) - 1
         self.gen_name = gen_name
+        self.context = VarContext((gen_name,))
+        # z^2 + b*z + c splits over Q exactly when b^2 - 4c is a rational square
+        if self.degree == 2 and _is_square(modulus[1] ** 2 - 4 * modulus[0]):
+            raise ValueError("modulus %s is reducible over Q" % self.modulus_render())
 
     def element(self, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -529,45 +523,29 @@ class NumberField:
         return a == b
 
     def _render(self, a):
-        ctx = VarContext((self.gen_name,))
-        p = LaurentPolynomial(ctx, {(i,): c for i, c in enumerate(a) if c != 0})
-        return p.render()
+        """Render an ascending coefficient sequence as a polynomial in the generator."""
+        return LaurentPolynomial(self.context, {(i,): c for i, c in enumerate(a)}).render()
 
     def parse(self, text):
-        ctx = VarContext((self.gen_name,))
-        num, den = _parse_rf_string(ctx, text)
-        value = self._from_poly(num)
+        num, den = _parse_rf_string(self.context, text)
+        value = self.element(_coefficients(num))
         if not den.is_one():
-            value = value / self._from_poly(den)
+            den = self.element(_coefficients(den))
+            if den.is_zero():
+                raise ParseError("denominator is zero modulo %s" % self.modulus_render())
+            value = value / den
         return value
 
-    def _from_poly(self, p):
-        coeffs = [Fraction(0)] * (max((m[0] for m in p.terms), default=0) + 1)
-        for m, c in p.terms.items():
-            if m[0] < 0:
-                raise ParseError("negative powers of the generator are not supported")
-            coeffs[m[0]] = c
-        return self.element(coeffs)
-
     def modulus_render(self):
-        ctx = VarContext((self.gen_name,))
-        p = LaurentPolynomial(ctx, {(i,): c for i, c in enumerate(self.modulus) if c != 0})
-        return p.render()
+        return self._render(self.modulus)
 
     @classmethod
     def from_modulus_string(cls, text):
         names = sorted({m.group(0) for m in re.finditer(r"[A-Za-z_][A-Za-z_0-9]*", text)})
         if len(names) != 1:
             raise ParseError("modulus must use exactly one variable")
-        ctx = VarContext((names[0],))
-        p = parse_polynomial(ctx, text)
-        top = max((m[0] for m in p.terms), default=0)
-        if min((m[0] for m in p.terms), default=0) < 0:
-            raise ParseError("modulus must be a plain polynomial")
-        coeffs = [Fraction(0)] * (top + 1)
-        for m, c in p.terms.items():
-            coeffs[m[0]] = c
-        return cls(tuple(coeffs), gen_name=names[0])
+        p = parse_polynomial(VarContext((names[0],)), text)
+        return cls(_coefficients(p), gen_name=names[0])
 
     def __eq__(self, other):
         return (
@@ -580,9 +558,23 @@ class NumberField:
         return hash(("algebraic", self.modulus, self.gen_name))
 
     def __repr__(self):
-        return "NumberField(%s)" % self._render(
-            tuple(self.modulus[:-1]) if self.degree > 0 else ()
-        )
+        return "NumberField(%s)" % self.modulus_render()
+
+
+def _coefficients(p):
+    """Ascending coefficient list of a univariate polynomial; negative powers
+    are refused."""
+    if any(e < 0 for (e,) in p.terms):
+        raise ParseError("negative powers of the generator are not supported")
+    coeffs = [Fraction(0)] * (max((e for (e,) in p.terms), default=0) + 1)
+    for (e,), c in p.terms.items():
+        coeffs[e] = c
+    return coeffs
+
+
+def _is_square(q):
+    """True when the Fraction q is the square of a rational."""
+    return q >= 0 and all(isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
 
 
 def cyclotomic_field(n, gen_name="z"):
@@ -681,29 +673,6 @@ def _tokenize(text):
     return tokens
 
 
-def _parse_rational_string(text):
-    tokens = _tokenize(text)
-    value, rest = _parse_signed_rational(tokens)
-    if rest:
-        raise ParseError("trailing input in rational: %r" % text)
-    return value
-
-
-def _parse_signed_rational(tokens):
-    sign = 1
-    while tokens and tokens[0] in "+-":
-        if tokens[0] == "-":
-            sign = -sign
-        tokens = tokens[1:]
-    if not tokens or not tokens[0].isdigit():
-        raise ParseError("expected a number")
-    num = int(tokens[0])
-    tokens = tokens[1:]
-    if len(tokens) >= 2 and tokens[0] == "/" and tokens[1].isdigit():
-        return Fraction(sign * num, int(tokens[1])), tokens[2:]
-    return Fraction(sign * num), tokens
-
-
 def _parse_rf_string(context, text):
     """Parse '(num)/(den)' or a bare polynomial; returns (num, den) polynomials."""
     tokens = _tokenize(text)
@@ -725,6 +694,8 @@ def _parse_rf_string(context, text):
                 raise ParseError("unbalanced parentheses in denominator")
             num = _parse_poly_tokens(context, tokens[1:close])
             den = _parse_poly_tokens(context, rest[2:-1])
+            if den.is_zero():
+                raise ParseError("zero denominator")
             return num, den
     num = _parse_poly_tokens(context, tokens)
     return num, LaurentPolynomial.const(context, 1)
@@ -769,7 +740,10 @@ def _parse_term(context, tokens, i):
                 value = Fraction(int(tok))
                 i += 1
                 if i + 1 < len(tokens) and tokens[i] == "/" and tokens[i + 1].isdigit():
-                    value = Fraction(value.numerator, int(tokens[i + 1]))
+                    den = int(tokens[i + 1])
+                    if den == 0:
+                        raise ParseError("zero denominator")
+                    value = Fraction(value.numerator, den)
                     i += 2
                 coeff *= value
             elif _NAME_RE.fullmatch(tok):

@@ -11,7 +11,7 @@ RowSpace.
 
 from __future__ import annotations
 
-from .fields import BackendMismatch, Scalar
+from .fields import BackendMismatch, Scalar, square_and_multiply
 
 MIN_DIM = 2
 MAX_DIM = 8
@@ -72,9 +72,6 @@ class SquareMatrix:
             for j in range(self.dim)
         )
 
-    def __hash__(self):
-        raise TypeError("SquareMatrix is not hashable")
-
     def __add__(self, other):
         self._check(other)
         return SquareMatrix(
@@ -121,9 +118,6 @@ class SquareMatrix:
             c = self.field.const(c)
         return SquareMatrix(self.field, [[c * x for x in r] for r in self.rows])
 
-    def transpose(self):
-        return SquareMatrix(self.field, list(zip(*self.rows)))
-
     def trace(self):
         t = self.field.zero
         for i in range(self.dim):
@@ -133,15 +127,7 @@ class SquareMatrix:
     def power(self, k):
         if k < 0:
             return self.inverse().power(-k)
-        result = SquareMatrix.identity(self.field, self.dim)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return result
+        return square_and_multiply(self, k, SquareMatrix.identity(self.field, self.dim))
 
     def det(self):
         """Division-free determinant: Laplace expansion memoized on column sets."""
@@ -260,9 +246,6 @@ class UniPoly:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        raise TypeError("UniPoly is not hashable")
-
     def is_monic(self):
         return self.degree >= 0 and self.coeffs[-1] == self.field.one
 
@@ -301,29 +284,9 @@ class UniPoly:
                 rem[i - dn + j] = rem[i - dn + j] - factor * divisor.coeffs[j]
         return UniPoly(field, q), UniPoly(field, rem)
 
-    def render(self, name="t"):
-        if self.degree < 0:
-            return "0"
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c.is_zero():
-                continue
-            cs = c.render()
-            if e == 0:
-                parts.append(cs)
-            else:
-                mono = name if e == 1 else f"{name}^{e}"
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{cs}*{mono}")
-        return " + ".join(parts)
-
     def __repr__(self):
-        return f"UniPoly({self.render()})"
+        # coefficients in ascending order
+        return "UniPoly(%s)" % ", ".join(c.render() for c in self.coeffs)
 
 
 def char_poly(m):

@@ -1,12 +1,10 @@
 """Shared random generators for the exact-arithmetic test suites."""
 
 from fractions import Fraction
-import random
 
 from braidrep.fields import (
     NumberField,
     RationalField,
-    Scalar,
     SymbolicField,
     VarContext,
     cyclotomic_field,
@@ -81,24 +79,3 @@ def backend_fixtures():
         SymbolicField(VarContext(("l1", "l2", "g"))),
         cyclotomic_field(6),
     ]
-
-
-def small_nonzero(rng, span=5):
-    """Nonzero rational with small numerator and denominator, signs mixed."""
-    num = rng.choice([n for n in range(-span, span + 1) if n != 0])
-    den = rng.randint(1, span)
-    return Fraction(num, den)
-
-
-def random_classified_spec(d, rng, field=None):
-    """Random specialized spec for the classified family (package sampler)."""
-    from braidrep.samplers import random_classified_spec as sample
-
-    return sample(d, rng, field=field, bound=5)
-
-
-def random_binomial_params(size, rng, field=None):
-    """Parameter list with constant opposite products (package sampler)."""
-    from braidrep.samplers import random_binomial_params as sample
-
-    return sample(size, rng, field=field, bound=5)

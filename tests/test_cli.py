@@ -55,6 +55,31 @@ def test_construct_rejects_decimal_input(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--eig", "1/0", "--eig", "1"],
+    ["--eig", "(1)/(0)", "--eig", "1"],
+    ["--modulus", "z^2+1", "--eig", "(z)/(z^2+1)", "--eig", "1"],
+], ids=["literal", "zero-polynomial", "zero-in-field"])
+def test_zero_denominator_is_an_input_error(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "braidrep", "classify", "--dim", "2", *argv],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stdout
+    assert "Traceback" not in result.stderr
+
+
+def test_reducible_modulus_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, [
+        "classify", "--dim", "2", "--modulus", "z^2-1", "--eig", "z+1", "--eig", "1",
+    ])
+    assert code == 1
+    assert out == ""
+    assert "reducible" in err
+
+
 def test_construct_binomial_family(capsys):
     code, out, _ = run_cli(capsys, [
         "construct", "--family", "binomial", "--eig", "1", "--eig", "2", "--eig", "4",

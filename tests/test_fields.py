@@ -176,12 +176,74 @@ def test_numberfield_inverse_round_trip():
 
 
 def test_numberfield_zero_divisor_raises():
-    # z^2 - 1 = (z - 1)(z + 1) is reducible: z + 1 has no inverse, z does
-    k = NumberField.from_modulus_string("z^2-1")
+    # z^4 + 3z^2 + 2 = (z^2 + 1)(z^2 + 2) is reducible: z^2 + 1 has no
+    # inverse, z does
+    k = NumberField.from_modulus_string("z^4+3*z^2+2")
     z = k.gen
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
-        (z + 1).inv()
-    assert z.inv() == z
+        (z ** 2 + 1).inv()
+    assert z.inv() == k.parse("-1/2*z^3-3/2*z")
+    assert z * z.inv() == k.one
+
+
+@pytest.mark.parametrize("text", ["z^2-1", "z^2+2*z+1", "z^2", "z^2-9/4", "z^2+z-6"])
+def test_reducible_quadratic_modulus_refused(text):
+    with pytest.raises(ValueError, match="reducible"):
+        NumberField.from_modulus_string(text)
+
+
+def test_irreducible_quadratic_moduli_accepted():
+    for n in (3, 4, 6):
+        assert cyclotomic_field(n).degree == 2
+    for text in ("z^2-2", "z^2-1/2", "z^2+z+1", "z^2+3/4"):
+        assert NumberField.from_modulus_string(text).degree == 2
+
+
+def test_numberfield_repr_shows_whole_modulus():
+    assert repr(cyclotomic_field(4)) == "NumberField(z^2+1)"
+    assert repr(cyclotomic_field(5)) == "NumberField(z^4+z^3+z^2+z+1)"
+
+
+RATIONAL_PARSES = {
+    "3": Fraction(3),
+    "-3/4": Fraction(-3, 4),
+    " + 5 / 10 ": Fraction(1, 2),
+    "--2": Fraction(2),
+    "+-+7": Fraction(-7),
+    "-0/7": Fraction(0),
+    # the shared grammar also takes sums, products and (num)/(den)
+    "1+1/2": Fraction(3, 2),
+    "2*3": Fraction(6),
+    "(3)/(4)": Fraction(3, 4),
+    "(1+1)/(-3)": Fraction(-2, 3),
+}
+
+
+def test_rational_parse_values():
+    q = RationalField()
+    for text, value in RATIONAL_PARSES.items():
+        assert q.parse(text) == value, text
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "1.5", "x", "3 4", "3/-4", "3/4/5", "2^3", "3 /", "(3)", "1/2)",
+])
+def test_rational_parse_refusals(text):
+    with pytest.raises(ParseError):
+        RationalField().parse(text)
+
+
+@pytest.mark.parametrize("field", backend_fixtures(), ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("text", ["1/0", "(1)/(0)", "(1)/(2-2)"])
+def test_zero_denominator_is_a_parse_error(field, text):
+    with pytest.raises(ParseError, match="zero"):
+        field.parse(text)
+
+
+def test_numberfield_zero_in_field_denominator_is_a_parse_error():
+    k = cyclotomic_field(4)
+    with pytest.raises(ParseError, match="zero"):
+        k.parse("(z)/(z^2+1)")
 
 
 def test_specialize_is_ring_homomorphism():

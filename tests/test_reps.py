@@ -25,8 +25,7 @@ from braidrep.reps import (
     verify_ordered_triangular,
     verify_skew_criterion,
 )
-
-from helpers import random_binomial_params, random_classified_spec
+from braidrep.samplers import random_binomial_params, random_classified_spec
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -106,7 +105,7 @@ class TestStructureSymbolic:
 def test_specialized_builds(d):
     rng = random.Random(900 + d)
     for _ in range(3):
-        spec = random_classified_spec(d, rng)
+        spec = random_classified_spec(d, rng, bound=5)
         rep = build_rep(spec)
         assert verify_braid(rep)
         assert verify_ordered_triangular(rep)
@@ -158,7 +157,7 @@ def test_binomial_2x2():
 @pytest.mark.parametrize("size", [3, 4, 5, 6, 7, 8])
 def test_binomial_sizes_braid(size):
     rng = random.Random(7000 + size)
-    params, c = random_binomial_params(size, rng)
+    params, c = random_binomial_params(size, rng, bound=5)
     rep = build_binomial_rep(size, params, c=c)
     assert verify_braid(rep)
     assert verify_ordered_triangular(rep)
@@ -213,7 +212,7 @@ def test_skew_criterion_on_binomial_family():
     # its square is (-1)^(size-1) times the constant
     rng = random.Random(11)
     for size in (3, 4, 5):
-        params, c = random_binomial_params(size, rng)
+        params, c = random_binomial_params(size, rng, bound=5)
         rep = build_binomial_rep(size, params, c=c)
         field = rep.field
         n = size - 1
@@ -245,7 +244,7 @@ def test_lemma_identities_symbolic(d):
 @pytest.mark.parametrize("d", [4, 5])
 def test_lemma_identities_specialized(d):
     rng = random.Random(40 + d)
-    spec = random_classified_spec(d, rng)
+    spec = random_classified_spec(d, rng, bound=5)
     rep = build_rep(spec)
     out = verify_lemma_identities(rep)
     assert out["conjugation_swaps"]
@@ -301,7 +300,7 @@ def test_json_round_trip_symbolic():
 def test_json_round_trip_rational_and_cyclotomic():
     q = RationalField()
     rng = random.Random(5)
-    rep = build_rep(random_classified_spec(3, rng))
+    rep = build_rep(random_classified_spec(3, rng, bound=5))
     back = rep_from_json(rep_to_json(rep))
     assert back.A == rep.A and back.B == rep.B
 
@@ -317,7 +316,7 @@ def test_json_round_trip_rational_and_cyclotomic():
 
 def test_json_round_trip_binomial():
     rng = random.Random(17)
-    params, c = random_binomial_params(4, rng)
+    params, c = random_binomial_params(4, rng, bound=5)
     rep = build_binomial_rep(4, params, c=c)
     back = rep_from_json(rep_to_json(rep))
     assert back.A == rep.A and back.B == rep.B
