@@ -143,10 +143,8 @@ def q_corner(rep):
     eigs = list(rep.spec.eigenvalues)
     d = rep.dim
     m = p_poly(1, eigs).eval_matrix(rep.B) * p_poly(d, eigs).eval_matrix(rep.A)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            if (i, j) != (d, d) and not m.entry(i, j).is_zero():
-                raise RuntimeError("corner product has support off the (d,d) entry")
+    if not m.zero_outside(lambda i, j: i == j == d):
+        raise RuntimeError("corner product has support off the (d,d) entry")
     return m.entry(d, d)
 
 
@@ -405,7 +403,7 @@ def westbury_dims(rep, sixth_root):
 
     def eigdim(m, value):
         shifted = m - ident.scale(value)
-        return nullspace_dim(field, [list(r) for r in shifted.rows], d)
+        return nullspace_dim(field, shifted.rows, d)
 
     involution = ap * bp * ap
     n1 = eigdim(involution, field.one)

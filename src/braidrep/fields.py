@@ -434,9 +434,9 @@ class SymbolicField:
 
 class NumberField:
     """Q[x]/(m(x)) for a monic modulus m, elements as coefficient tuples of
-    length deg(m). A reducible quadratic modulus is refused; one of higher
-    degree is trusted to be irreducible, and a reducible one surfaces as a
-    ZeroDivisionError on inversion of a zero divisor."""
+    length deg(m). A reducible modulus of degree 2 to 4 is refused; one of
+    degree 5 or more is trusted to be irreducible, and a reducible one
+    surfaces as a ZeroDivisionError on inversion of a zero divisor."""
 
     mode = "algebraic"
 
@@ -448,8 +448,7 @@ class NumberField:
         self.degree = len(modulus) - 1
         self.gen_name = gen_name
         self.context = VarContext((gen_name,))
-        # z^2 + b*z + c splits over Q exactly when b^2 - 4c is a rational square
-        if self.degree == 2 and _is_square(modulus[1] ** 2 - 4 * modulus[0]):
+        if 2 <= self.degree <= 4 and _splits(modulus):
             raise ValueError("modulus %s is reducible over Q" % self.modulus_render())
 
     def element(self, coeffs):
@@ -572,12 +571,43 @@ def _coefficients(p):
     return coeffs
 
 
-def _is_square(q):
-    """True when the Fraction q is the square of a rational."""
-    return q >= 0 and all(isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+def _splits(modulus):
+    """True when a monic modulus of degree 2 to 4 factors over Q.
+
+    With z = y/L for L the common denominator, L^n m(y/L) is a monic integer
+    polynomial, and by Gauss's lemma its rational factors can be taken monic
+    with integer coefficients: a linear factor is an integer root dividing the
+    constant term, and a quartic may also split as (y^2+ay+b)(y^2+cy+e) with
+    b*e the constant term, a+c = p3, b+e+ac = p2 and ae+bc = p1.
+    """
+    n = len(modulus) - 1
+    scale = lcm(*(c.denominator for c in modulus))
+    p = [int(c * scale ** (n - k)) for k, c in enumerate(modulus)]
+    if p[0] == 0:
+        return True
+    # each divisor pair (b, e) of the constant term, up to order
+    pairs = []
+    for b in range(1, isqrt(abs(p[0])) + 1):
+        if p[0] % b == 0:
+            pairs += [(b, p[0] // b), (-b, -(p[0] // b))]
+    roots = {r for pair in pairs for r in pair}
+    if any(sum(c * r ** k for k, c in enumerate(p)) == 0 for r in roots):
+        return True
+    if n < 4:
+        return False
+    for b, e in pairs:
+        # a and c are the roots of t^2 - p3*t + (p2-b-e); the discriminant has
+        # the parity of p3^2, so an integer square root makes both integers
+        disc = p[3] ** 2 - 4 * (p[2] - b - e)
+        s = isqrt(max(disc, 0))
+        if s * s == disc and any(
+            a * e + b * (p[3] - a) == p[1] for a in ((p[3] + s) // 2, (p[3] - s) // 2)
+        ):
+            return True
+    return False
 
 
-def cyclotomic_field(n, gen_name="z"):
+def cyclotomic_field(n):
     """Number field containing a primitive n-th root of unity (the generator)."""
     moduli = {
         3: (1, 1, 1),
@@ -587,8 +617,7 @@ def cyclotomic_field(n, gen_name="z"):
     }
     if n not in moduli:
         raise ValueError("unsupported cyclotomic order %d" % n)
-    coeffs = moduli[n]
-    return NumberField(tuple(Fraction(c) for c in coeffs), gen_name=gen_name)
+    return NumberField(moduli[n])
 
 
 def root_of_unity(field, order):

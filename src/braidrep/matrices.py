@@ -11,6 +11,8 @@ RowSpace.
 
 from __future__ import annotations
 
+import operator
+
 from .fields import BackendMismatch, Scalar, square_and_multiply
 
 MIN_DIM = 2
@@ -64,33 +66,17 @@ class SquareMatrix:
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        return all(
-            self.rows[i][j] == other.rows[i][j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+        return self.rows == other.rows
 
     def __add__(self, other):
-        self._check(other)
-        return SquareMatrix(
-            self.field,
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.dim)]
-                for i in range(self.dim)
-            ],
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other, op):
         self._check(other)
-        return SquareMatrix(
-            self.field,
-            [
-                [self.rows[i][j] - other.rows[i][j] for j in range(self.dim)]
-                for i in range(self.dim)
-            ],
-        )
+        return SquareMatrix(self.field, [map(op, r, s) for r, s in zip(self.rows, other.rows)])
 
     def __neg__(self):
         return SquareMatrix(self.field, [[-x for x in r] for r in self.rows])
@@ -104,7 +90,7 @@ class SquareMatrix:
         out = []
         for i in range(n):
             row = self.rows[i]
-            out.append([_dot(row, cols[j]) for j in range(n)])
+            out.append([dot(row, cols[j]) for j in range(n)])
         return SquareMatrix(self.field, out)
 
     def _check(self, other):
@@ -161,9 +147,6 @@ class SquareMatrix:
 
         return minor(0, (1 << n) - 1)
 
-    def is_invertible(self):
-        return not self.det().is_zero()
-
     def inverse(self):
         n = self.dim
         one, zero = self.field.one, self.field.zero
@@ -179,24 +162,20 @@ class SquareMatrix:
     def is_zero(self):
         return all(x.is_zero() for r in self.rows for x in r)
 
-    def is_scalar(self):
-        """True when the matrix is c*I; returns the scalar via scalar_value()."""
-        n = self.dim
-        c = self.rows[0][0]
-        for i in range(n):
-            for j in range(n):
-                x = self.rows[i][j]
-                if i == j:
-                    if x != c:
-                        return False
-                elif not x.is_zero():
-                    return False
-        return True
+    def zero_outside(self, support):
+        """True when every entry (i, j), 1-based, with support(i, j) false is zero."""
+        return all(
+            x.is_zero()
+            for i, row in enumerate(self.rows, 1)
+            for j, x in enumerate(row, 1)
+            if not support(i, j)
+        )
 
     def scalar_value(self):
-        if not self.is_scalar():
-            raise ValueError("matrix is not scalar")
-        return self.rows[0][0]
+        """The c with self == c*I, or None when the matrix is not scalar."""
+        c = self.rows[0][0]
+        diagonal = all(r[i] == c for i, r in enumerate(self.rows))
+        return c if diagonal and self.zero_outside(lambda i, j: i == j) else None
 
     def render(self):
         """Nested list of canonical strings, row major."""
@@ -207,7 +186,8 @@ class SquareMatrix:
         return f"SquareMatrix[{body}]"
 
 
-def _dot(row, col):
+def dot(row, col):
+    """Sum of the entrywise products of two equal-length Scalar sequences."""
     it = iter(zip(row, col))
     a, b = next(it)
     acc = a * b
@@ -338,7 +318,7 @@ def rref(field, rows):
 
 
 def matrix_rank(m):
-    reduced, _ = rref(m.field, [list(r) for r in m.rows])
+    reduced, _ = rref(m.field, m.rows)
     return len(reduced)
 
 

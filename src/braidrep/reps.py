@@ -25,7 +25,7 @@ from .fields import (
     SymbolicField,
     VarContext,
 )
-from .matrices import SquareMatrix, nullspace_basis
+from .matrices import SquareMatrix, dot, nullspace_basis
 
 CLASSIFIED = "classified"
 BINOMIAL = "binomial"
@@ -141,14 +141,26 @@ def symbolic_classified_spec(d):
     if d == 4:
         field = SymbolicField(VarContext(("l1", "l2", "l3", "D")))
         l1, l2, l3, dd = (field.var(n) for n in ("l1", "l2", "l3", "D"))
-        l4 = l2 * l3 / (l1 * dd ** 2)
-        return field, RepSpec(CLASSIFIED, [l1, l2, l3, l4], root_param=dd)
+        return field, solved_classified_spec([l1, l2, l3], dd)
     if d == 5:
         field = SymbolicField(VarContext(("l1", "l2", "l3", "l4", "g")))
         l1, l2, l3, l4, g = (field.var(n) for n in ("l1", "l2", "l3", "l4", "g"))
-        l5 = g ** 5 / (l1 * l2 * l3 * l4)
-        return field, RepSpec(CLASSIFIED, [l1, l2, l3, l4, l5], root_param=g)
+        return field, solved_classified_spec([l1, l2, l3, l4], g)
     raise RepSpecError(f"no classified family in dimension {d}")
+
+
+def solved_classified_spec(eigenvalues, root):
+    """Classified spec in dimension 4 or 5 from its first d-1 eigenvalues and
+    the root parameter; the last eigenvalue is solved from the root
+    constraint, l4 = l2*l3/(l1*D^2) or l5 = g^5/(l1*l2*l3*l4)."""
+    eigenvalues = list(eigenvalues)
+    if len(eigenvalues) == 3:
+        l1, l2, l3 = eigenvalues
+        eigenvalues.append(l2 * l3 / (l1 * root ** 2))
+    else:
+        l1, l2, l3, l4 = eigenvalues
+        eigenvalues.append(root ** 5 / (l1 * l2 * l3 * l4))
+    return RepSpec(CLASSIFIED, eigenvalues, root_param=root)
 
 
 def build_rep(spec):
@@ -256,16 +268,12 @@ def verify_ordered_triangular(rep):
     """A upper triangular with eigenvalue i at (i,i); B lower with the reverse."""
     a, b, d = rep.A, rep.B, rep.dim
     eigs = rep.spec.eigenvalues
-    for i in range(1, d + 1):
-        if a.entry(i, i) != eigs[i - 1] or b.entry(i, i) != eigs[d - i]:
-            return False
-        for j in range(1, i):
-            if not a.entry(i, j).is_zero():
-                return False
-        for j in range(i + 1, d + 1):
-            if not b.entry(i, j).is_zero():
-                return False
-    return True
+    return (
+        all(a.entry(i, i) == eigs[i - 1] for i in range(1, d + 1))
+        and all(b.entry(i, i) == eigs[d - i] for i in range(1, d + 1))
+        and a.zero_outside(lambda i, j: i <= j)
+        and b.zero_outside(lambda i, j: i >= j)
+    )
 
 
 class StructureReport:
@@ -336,20 +344,14 @@ def structure_report(rep):
     report.triangular_ok = verify_ordered_triangular(rep)
 
     aba = a * b * a
-    report.skew_diag_ok = all(
-        aba.entry(i, j).is_zero()
-        for i in range(1, d + 1)
-        for j in range(1, d + 1)
-        if j != d + 1 - i
-    )
+    report.skew_diag_ok = aba.zero_outside(lambda i, j: i + j == d + 1)
     sigmas = [aba.entry(i, d + 1 - i) for i in range(1, d + 1)]
     report.sigmas = tuple(sigmas)
     report.sigma = sigmas[0]
 
-    sq = aba * aba
-    if not sq.is_scalar():
+    delta = (aba * aba).scalar_value()
+    if delta is None:
         raise ValueError("ABA squared is not scalar")
-    delta = sq.scalar_value()
     report.delta = delta
     report.delta_power_ok = delta ** d == a.det() ** 6
 
@@ -368,12 +370,7 @@ def structure_report(rep):
     report.ba_skew_ok = all(
         eigs[i - 1] * ba.entry(i, d + 1 - i) == sigmas[i - 1] for i in range(1, d + 1)
     )
-    report.ba_zero_ok = all(
-        ba.entry(i, j).is_zero()
-        for i in range(1, d + 1)
-        for j in range(1, d + 1)
-        if i + j > d + 1
-    )
+    report.ba_zero_ok = ba.zero_outside(lambda i, j: i + j <= d + 1)
     report.corner_ok = a.entry(1, d) * eigs[0] * eigs[d - 1] == sigmas[0]
 
     report.sign_pattern_ok = None
@@ -413,12 +410,8 @@ def verify_lemma_identities(rep):
     out["quotient_identities"] = (
         aba * (a * b).inverse() == b and (b * a * b) * (b * a).inverse() == a
     )
-    sq = aba * aba
-    ok = sq.is_scalar()
-    if ok:
-        delta = sq.scalar_value()
-        ok = aba_inv == aba.scale(delta.inv())
-    out["center_scalar"] = ok
+    delta = (aba * aba).scalar_value()
+    out["center_scalar"] = delta is not None and aba_inv == aba.scale(delta.inv())
 
     eigs = rep.spec.eigenvalues
     distinct = all(
@@ -431,25 +424,18 @@ def verify_lemma_identities(rep):
     ident = SquareMatrix.identity(field, d)
     for i in range(d):
         shifted = a - ident.scale(eigs[i])
-        basis = nullspace_basis(field, [list(r) for r in shifted.rows], d)
+        basis = nullspace_basis(field, shifted.rows, d)
         if len(basis) != 1:
             transport = False
             break
         v = basis[0]
-        image = [_mat_vec(aba, v, k) for k in range(d)]
-        b_image = [_mat_vec(b, image, k) for k in range(d)]
+        image = [dot(row, v) for row in aba.rows]
+        b_image = [dot(row, image) for row in b.rows]
         if any(b_image[k] != eigs[i] * image[k] for k in range(d)):
             transport = False
             break
     out["eigenvector_transport"] = transport
     return out
-
-
-def _mat_vec(m, v, k):
-    acc = m.field.zero
-    for j in range(m.dim):
-        acc = acc + m.rows[k][j] * v[j]
-    return acc
 
 
 def verify_skew_criterion(a, s, c):
@@ -466,24 +452,18 @@ def verify_skew_criterion(a, s, c):
     """
     d = a.dim
     field = a.field
-    for i in range(1, d + 1):
-        for j in range(1, i):
-            if not a.entry(i, j).is_zero():
-                raise ValueError("first matrix must be upper triangular")
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            if j != d + 1 - i and not s.entry(i, j).is_zero():
-                raise ValueError("conjugator must be skew-diagonal")
+    if not a.zero_outside(lambda i, j: i <= j):
+        raise ValueError("first matrix must be upper triangular")
+    if not s.zero_outside(lambda i, j: i + j == d + 1):
+        raise ValueError("conjugator must be skew-diagonal")
     if c.is_zero():
         raise ValueError("conjugator squared scalar must be nonzero")
     if s * s != SquareMatrix.identity(field, d).scale(c):
         raise ValueError("conjugator squared must be the given scalar")
     b = s * a * s.inverse()
     ba = b * a
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            if i + j > d + 1 and not ba.entry(i, j).is_zero():
-                return False
+    if not ba.zero_outside(lambda i, j: i + j <= d + 1):
+        return False
     kappa = a.entry(1, 1) * ba.entry(1, d) / s.entry(1, d)
     for i in range(2, d + 1):
         lhs = a.entry(i, i) * ba.entry(i, d + 1 - i)
@@ -554,8 +534,8 @@ def rep_to_json_dict(rep):
     return out
 
 
-def rep_to_json(rep, indent=2):
-    return json.dumps(rep_to_json_dict(rep), indent=indent)
+def rep_to_json(rep):
+    return json.dumps(rep_to_json_dict(rep), indent=2)
 
 
 def rep_from_json_dict(data):

@@ -9,7 +9,7 @@ parameters are derived so the family constraints hold by construction.
 from fractions import Fraction
 
 from .fields import RationalField, cyclotomic_field, root_of_unity
-from .reps import CLASSIFIED, RepSpec
+from .reps import CLASSIFIED, RepSpec, solved_classified_spec
 
 
 def small_fraction(rng, bound=10):
@@ -33,13 +33,11 @@ def random_classified_spec(d, rng, field=None, bound=10):
     if d == 4:
         l1, l2, l3 = (field.const(small_fraction(rng, bound)) for _ in range(3))
         root = field.const(small_fraction(rng, bound))
-        l4 = l2 * l3 / (l1 * root ** 2)
-        return RepSpec(CLASSIFIED, [l1, l2, l3, l4], root_param=root)
+        return solved_classified_spec([l1, l2, l3], root)
     if d == 5:
         l1, l2, l3, l4 = (field.const(small_fraction(rng, bound)) for _ in range(4))
         g = field.const(small_fraction(rng, bound))
-        l5 = g ** 5 / (l1 * l2 * l3 * l4)
-        return RepSpec(CLASSIFIED, [l1, l2, l3, l4, l5], root_param=g)
+        return solved_classified_spec([l1, l2, l3, l4], g)
     raise ValueError("classified family covers dimensions 2..5, got %d" % d)
 
 
@@ -70,48 +68,40 @@ def degenerate_classified_spec(d, rng, field=None, bound=10):
         # makes that square equal -l1^2, so l1^2 + gamma^2 = 0
         l1, l2, l3 = (field.const(small_fraction(rng, bound)) for _ in range(3))
         root = -(l2 * l3) / l1 ** 2
-        l4 = l2 * l3 / (l1 * root ** 2)
-        return RepSpec(CLASSIFIED, [l1, l2, l3, l4], root_param=root)
+        return solved_classified_spec([l1, l2, l3], root)
     if d == 5:
         # gamma^2 + l1*l2 = 0 at l2 = -gamma^2/l1
         l1 = field.const(small_fraction(rng, bound))
         g = field.const(small_fraction(rng, bound))
         l2 = -(g ** 2) / l1
         l3, l4 = (field.const(small_fraction(rng, bound)) for _ in range(2))
-        l5 = g ** 5 / (l1 * l2 * l3 * l4)
-        return RepSpec(CLASSIFIED, [l1, l2, l3, l4, l5], root_param=g)
+        return solved_classified_spec([l1, l2, l3, l4], g)
     raise ValueError("classified family covers dimensions 2..5, got %d" % d)
 
 
-def central_unit_spec(d, rng, field=None, bound=10, square_only=False):
-    """Spec whose central scalar is 1 (or, with square_only, only its square).
+def central_unit_spec(d, rng, field=None, bound=10):
+    """Spec whose central scalar is 1.
 
     The central scalar is -(l1*l2)^3 for d=2, (l1*l2*l3)^2 for d=3,
     -(l2*l3/D)^3 for d=4 and gamma^6 for d=5; each case pins one parameter so
-    the scalar collapses to 1.  With square_only=True the d=2 and d=4 cases
-    instead leave the sign free, giving central scalar -1 half the time.
+    the scalar collapses to 1.
     """
     if field is None:
         field = RationalField()
     if d == 2:
         l1 = field.const(small_fraction(rng, bound))
-        sign = field.const(rng.choice((1, -1))) if square_only else field.const(-1)
-        return RepSpec(CLASSIFIED, [l1, sign / l1])
+        return RepSpec(CLASSIFIED, [l1, field.const(-1) / l1])
     if d == 3:
         l1, l2 = (field.const(small_fraction(rng, bound)) for _ in range(2))
         sign = field.const(rng.choice((1, -1)))
         return RepSpec(CLASSIFIED, [l1, l2, sign / (l1 * l2)])
     if d == 4:
         l1, l2, l3 = (field.const(small_fraction(rng, bound)) for _ in range(3))
-        sign = field.const(rng.choice((1, -1))) if square_only else field.const(-1)
-        root = sign * l2 * l3
-        l4 = l2 * l3 / (l1 * root ** 2)
-        return RepSpec(CLASSIFIED, [l1, l2, l3, l4], root_param=root)
+        return solved_classified_spec([l1, l2, l3], field.const(-1) * l2 * l3)
     if d == 5:
         l1, l2, l3, l4 = (field.const(small_fraction(rng, bound)) for _ in range(4))
         g = field.const(rng.choice((1, -1)))
-        l5 = g ** 5 / (l1 * l2 * l3 * l4)
-        return RepSpec(CLASSIFIED, [l1, l2, l3, l4, l5], root_param=g)
+        return solved_classified_spec([l1, l2, l3, l4], g)
     raise ValueError("classified family covers dimensions 2..5, got %d" % d)
 
 

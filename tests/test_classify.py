@@ -300,10 +300,6 @@ def test_sl2z_flags_on_central_unit_sampler():
         for _ in range(3):
             spec = central_unit_spec(d, rng, bound=5)
             assert sl2z_flags(spec) == (True, True)
-        for _ in range(3):
-            spec = central_unit_spec(d, rng, bound=5, square_only=True)
-            sl2, psl2 = sl2z_flags(spec)
-            assert sl2 is True
 
 
 def test_sl2z_flags_reject_symbolic_backend():

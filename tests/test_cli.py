@@ -80,6 +80,22 @@ def test_reducible_modulus_is_an_input_error(capsys):
     assert "reducible" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--modulus", "z^3-1", "--eig", "z", "--eig", "1"],
+    ["--modulus", "z^4+3*z^2+2", "--eig", "z^2+1", "--eig", "1", "--oracle", "burnside"],
+], ids=["cubic", "quartic"])
+def test_reducible_higher_degree_modulus_is_an_input_error(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "braidrep", "classify", "--dim", "2", *argv],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert "error:" in result.stderr
+    assert "reducible" in result.stderr
+    assert "Traceback" not in result.stdout
+    assert "Traceback" not in result.stderr
+
+
 def test_construct_binomial_family(capsys):
     code, out, _ = run_cli(capsys, [
         "construct", "--family", "binomial", "--eig", "1", "--eig", "2", "--eig", "4",

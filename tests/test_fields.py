@@ -176,17 +176,23 @@ def test_numberfield_inverse_round_trip():
 
 
 def test_numberfield_zero_divisor_raises():
-    # z^4 + 3z^2 + 2 = (z^2 + 1)(z^2 + 2) is reducible: z^2 + 1 has no
-    # inverse, z does
-    k = NumberField.from_modulus_string("z^4+3*z^2+2")
+    # z^5 + z^3 + 2z^2 + 2 = (z^2 + 1)(z^3 + 2) is reducible, and of a degree
+    # whose modulus is trusted: z^2 + 1 has no inverse, z does
+    k = NumberField.from_modulus_string("z^5+z^3+2*z^2+2")
     z = k.gen
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
         (z ** 2 + 1).inv()
-    assert z.inv() == k.parse("-1/2*z^3-3/2*z")
+    assert z.inv() == k.parse("-1/2*z^4-1/2*z^2-z")
     assert z * z.inv() == k.one
 
 
-@pytest.mark.parametrize("text", ["z^2-1", "z^2+2*z+1", "z^2", "z^2-9/4", "z^2+z-6"])
+@pytest.mark.parametrize("text", [
+    "z^2-1", "z^2+2*z+1", "z^2", "z^2-9/4", "z^2+z-6",
+    # degree 3: a rational root
+    "z^3-1", "z^3", "z^3-8/27", "z^3+z^2+z+1",
+    # degree 4: a rational root, or two quadratic factors
+    "z^4-z", "z^4-16/81", "z^4+3*z^2+2", "z^4+4", "z^4+1/4", "z^4+2*z^3+3*z^2+2*z+1",
+])
 def test_reducible_quadratic_modulus_refused(text):
     with pytest.raises(ValueError, match="reducible"):
         NumberField.from_modulus_string(text)
@@ -197,6 +203,11 @@ def test_irreducible_quadratic_moduli_accepted():
         assert cyclotomic_field(n).degree == 2
     for text in ("z^2-2", "z^2-1/2", "z^2+z+1", "z^2+3/4"):
         assert NumberField.from_modulus_string(text).degree == 2
+    assert cyclotomic_field(5).degree == 4
+    for text in ("z^3-2", "z^3+z+1", "z^3-3/8*z+1/27"):
+        assert NumberField.from_modulus_string(text).degree == 3
+    for text in ("z^4+1", "z^4-10*z^2+1", "z^4-2", "z^4-z^2+1", "z^4+3/16"):
+        assert NumberField.from_modulus_string(text).degree == 4
 
 
 def test_numberfield_repr_shows_whole_modulus():

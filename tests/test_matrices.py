@@ -76,7 +76,7 @@ def test_singular_matrix_raises():
     m = SquareMatrix(q, [[q.one, q.one], [q.one, q.one]])
     with pytest.raises(ZeroDivisionError):
         m.inverse()
-    assert not m.is_invertible()
+    assert m.det().is_zero()
 
 
 def test_cayley_hamilton_dims_2_to_5():
@@ -227,10 +227,32 @@ def test_power_and_trace():
 def test_scalar_matrix_detection():
     q = RationalField()
     m = SquareMatrix.identity(q, 3).scale(q.const(Fraction(7, 2)))
-    assert m.is_scalar()
     assert m.scalar_value() == q.const(Fraction(7, 2))
     m2 = SquareMatrix(q, [[q.one, q.one], [q.zero, q.one]])
-    assert not m2.is_scalar()
+    assert m2.scalar_value() is None
+
+
+SUPPORTS = {
+    "upper": lambda d: lambda i, j: i <= j,
+    "lower": lambda d: lambda i, j: i >= j,
+    "skew-diagonal": lambda d: lambda i, j: i + j == d + 1,
+    "on or above the skew diagonal": lambda d: lambda i, j: i + j <= d + 1,
+}
+
+
+@pytest.mark.parametrize("name", SUPPORTS)
+def test_zero_outside_support_boundary(name):
+    q = RationalField()
+    for d in range(2, 6):
+        support = SUPPORTS[name](d)
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                # a single nonzero entry is allowed exactly on the support; the
+                # cells next to a boundary are the ones an off-by-one misreads
+                m = SquareMatrix.from_function(
+                    q, d, lambda r, c: q.one if (r, c) == (i, j) else q.zero
+                )
+                assert m.zero_outside(support) is support(i, j), (name, d, i, j)
 
 
 def test_unipoly_divmod_and_eval():

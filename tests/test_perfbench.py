@@ -1,10 +1,18 @@
-"""The benchmark's traced run patches braidrep by name; every name must resolve."""
+"""The benchmark patches braidrep by name and checks scan output against a
+recorded reference; both must keep holding."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+from braidrep import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+SCAN_REFERENCE = PERFBENCH / "scan_reference.json"
 
 
 def test_traced_names_resolve():
@@ -19,3 +27,16 @@ def test_traced_names_resolve():
             assert meth in vars(getattr(module, cls_name)), (mod_name, attr)
         else:
             assert callable(getattr(module, attr)), (mod_name, attr)
+
+
+@pytest.mark.parametrize("entry", ["random:1000", "degenerate:2000", "central:3000"])
+def test_scan_matches_recorded_reference(entry, capsys):
+    # the benchmark checks every scan row against this file byte for byte; a
+    # change in the samplers' draw order would otherwise show only there
+    reference = json.loads(SCAN_REFERENCE.read_text())
+    kind, seed = entry.split(":")
+    rows = {name: count for name, count, _ in reference["kinds"]}[kind]
+    argv = ["scan", "--dim", str(reference["dim"]), "--count", str(rows),
+            "--seed", seed, "--kind", kind, "--oracle", "burnside"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == reference["csv"][entry] + "\n"

@@ -207,6 +207,23 @@ def test_skew_criterion_validates_conjugator():
         verify_skew_criterion(ident, s, -q.one)  # s^2 != -1
 
 
+def test_skew_criterion_requires_upper_triangular_first_matrix():
+    q = RationalField()
+    for d in range(2, 6):
+        s = SquareMatrix.from_function(q, d, lambda i, j: q.one if i + j == d + 1 else q.zero)
+        for i in range(1, d):
+            # one entry just below the diagonal is refused, one just above is not
+            below = SquareMatrix.from_function(
+                q, d, lambda r, c: q.one if r == c or (r, c) == (i + 1, i) else q.zero
+            )
+            with pytest.raises(ValueError, match="upper triangular"):
+                verify_skew_criterion(below, s, q.one)
+            above = SquareMatrix.from_function(
+                q, d, lambda r, c: q.one if r == c or (r, c) == (i, i + 1) else q.zero
+            )
+            assert verify_skew_criterion(above, s, q.one) in (True, False)
+
+
 def test_skew_criterion_on_binomial_family():
     # the binomial pair comes from conjugating by the alternating skew matrix;
     # its square is (-1)^(size-1) times the constant
