@@ -5,9 +5,11 @@ polynomials in the eigenvalues (and root parameter) vanishes.  The criterion
 lives in the Q scalars: for each index pair r != s, the triple product
 P_r(A) P_s(B) P_r(A) is a scalar multiple Q_rs of the rank-one matrix P_r(A),
 and the pair is simple iff every Q_rs is nonzero.  This module evaluates the
-closed forms of Q_rs, recomputes them from the defining matrix identity as an
-independent route, and cross-checks the verdict against a generated-algebra
-span oracle that knows nothing about the closed forms.
+closed forms of Q_rs from a classified RepSpec (q_from_spec, the one place
+that knows how the root parameter enters each dimension), recomputes them
+from the defining matrix identity as an independent route, and cross-checks
+the verdict against a generated-algebra span oracle that knows nothing about
+the closed forms.
 
 Every check is exact; nothing here tolerates approximation.
 """
@@ -43,20 +45,20 @@ def p_poly(r, eigenvalues):
     return UniPoly(field, coeffs)
 
 
-def q_closed(d, r, s, eigenvalues, gamma=None):
-    """Closed form of the Q scalar for an index pair r != s.
+def q_from_spec(spec, r, s):
+    """Closed form of the Q scalar of a classified spec for an index pair r != s.
 
-    eigenvalues is the full 1-based list; for dimension 4 gamma must carry the
-    SQUARE of the root parameter pair product, gamma^2 = l2*l3/D (only the
-    square enters the formula), and for dimension 5 the fifth root itself.
+    The root parameter enters dimension 4 only through the bridge l2*l3/D,
+    the square of its pair product, and dimension 5 as the fifth root itself.
     """
+    if spec.family != CLASSIFIED:
+        raise RepSpecError("Q scalars apply to the classified family")
+    d = spec.dim
     if r == s:
         raise ValueError("Q is defined for distinct indices only")
     if not (1 <= r <= d and 1 <= s <= d):
         raise ValueError("indices out of range")
-    if len(eigenvalues) != d:
-        raise ValueError("need exactly %d eigenvalues" % d)
-    lam = {i: eigenvalues[i - 1] for i in range(1, d + 1)}
+    lam = {i: spec.eigenvalues[i - 1] for i in range(1, d + 1)}
     lr, ls = lam[r], lam[s]
     if d == 2:
         return -(lr ** 2) + lr * ls - ls ** 2
@@ -65,9 +67,7 @@ def q_closed(d, r, s, eigenvalues, gamma=None):
         lk = lam[k]
         return (lr ** 2 + ls * lk) * (ls ** 2 + lr * lk)
     if d == 4:
-        if gamma is None:
-            raise ValueError("dimension 4 needs the squared root parameter")
-        g2 = gamma
+        g2 = lam[2] * lam[3] / spec.root_param
         k, l = sorted({1, 2, 3, 4} - {r, s})
         lk, ll = lam[k], lam[l]
         return (
@@ -75,36 +75,15 @@ def q_closed(d, r, s, eigenvalues, gamma=None):
             * (lr ** 2 + g2) * (ls ** 2 + g2)
             * (g2 + lr * lk + ls * ll) * (g2 + lr * ll + ls * lk)
         )
-    if d == 5:
-        if gamma is None:
-            raise ValueError("dimension 5 needs the root parameter")
-        g = gamma
-        g2 = g ** 2
-        out = g ** -8
-        out = out * (g2 + lr * g + lr ** 2) * (g2 + ls * g + ls ** 2)
-        for k in range(1, 6):
-            if k in (r, s):
-                continue
-            out = out * (g2 + lr * lam[k]) * (g2 + ls * lam[k])
-        return out
-    raise ValueError("Q scalars cover dimensions 2..5, got %d" % d)
-
-
-def gamma_argument(spec):
-    """The gamma value q_closed expects for this spec: none below dimension 4,
-    the squared bridge l2*l3/D for dimension 4, the fifth root for dimension 5."""
-    if spec.family != CLASSIFIED:
-        raise RepSpecError("Q scalars apply to the classified family")
-    if spec.dim <= 3:
-        return None
-    if spec.dim == 4:
-        l1, l2, l3, l4 = spec.eigenvalues
-        return l2 * l3 / spec.root_param
-    return spec.root_param
-
-
-def q_from_spec(spec, r, s):
-    return q_closed(spec.dim, r, s, list(spec.eigenvalues), gamma_argument(spec))
+    g = spec.root_param
+    g2 = g ** 2
+    out = g ** -8
+    out = out * (g2 + lr * g + lr ** 2) * (g2 + ls * g + ls ** 2)
+    for k in range(1, 6):
+        if k in (r, s):
+            continue
+        out = out * (g2 + lr * lam[k]) * (g2 + ls * lam[k])
+    return out
 
 
 def q_oracle(rep, r, s):
@@ -191,9 +170,8 @@ def obstruction_generators(spec):
                 lam[i] ** 2 + lam[r] * lam[s],
             ))
         return out
-    g = gamma_argument(spec)
     if d == 4:
-        g2 = g  # the bridge value is already the square
+        g2 = lam[2] * lam[3] / spec.root_param
         for i in range(1, 5):
             out.append(Obstruction(
                 "l%d^2+g^2" % i, [i], lam[i] ** 2 + g2,
@@ -204,6 +182,7 @@ def obstruction_generators(spec):
                 g2 + lam[i] * lam[j] + lam[r] * lam[s],
             ))
         return out
+    g = spec.root_param
     g2 = g ** 2
     for i in range(1, 6):
         out.append(Obstruction(

@@ -6,13 +6,14 @@ membership flags), qpoly (print the closed pair scalars), scan (seeded
 sweep, CSV), dims (compare the two dimension routes for a catalog series).
 
 Every scalar crosses this boundary as an exact string; no floats anywhere.
-Exit status: 0 all requested checks passed, 1 bad usage or input, 2 a
-mathematical check came back false.  A fixed seed reproduces any sweep
-byte for byte.
+Exit status: 0 all requested checks passed, 1 bad usage or input (or a
+reader that closed stdout early), 2 a mathematical check came back false.
+A fixed seed reproduces any sweep byte for byte.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -195,13 +196,15 @@ def cmd_classify(args):
     report = is_simple(spec)
     if args.oracle == "burnside":
         report.burnside = burnside_oracle(build_rep(spec))
-        if report.burnside != report.simple:
-            raise RuntimeError("span oracle disagrees with the polynomial classifier")
     if args.membership:
         report.sl2z, report.psl2z = sl2z_flags(spec)
     if args.certificate:
         report.deligne_certificate = deligne_check(spec)
     _emit(report.to_json_dict(), args.format)
+    # a span oracle that disagrees with the classifier fails the run even
+    # under --report-only; the report above shows both verdicts
+    if report.burnside is not None and report.burnside != report.simple:
+        return CHECK_FAILED
     if not report.simple and not args.report_only:
         return CHECK_FAILED
     return OK
@@ -404,11 +407,20 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here so a reader that closed early is seen by the handler below
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         # CLIError, scalar parse errors, spec violations, and library
         # input rejections all land here; internal errors stay loud
         print("error: %s" % exc, file=sys.stderr)
+        return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader of stdout went away (e.g. `| head`); point stdout at
+        # devnull so the interpreter's flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return USAGE_ERROR
 
 

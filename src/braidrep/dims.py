@@ -7,15 +7,17 @@ eigenprojection values P then express every summand dimension as
 
     dim_i = Q_1i * (dim Z)^2 / (P_1(l_1) * P_i(l_i)),
 
-with index 1 on the trivial summand.  This module computes dimensions
-along that route and compares them with a catalog of closed bracket
-formulas for two series, reporting exact equality per summand.
+with index 1 on the trivial summand.  Each series is a classified RepSpec;
+its route table holds every P_i(l_i) and Q_1i, evaluated once, and the
+summand dimensions read that table.  This module compares them with a
+catalog of closed bracket formulas for two series, reporting exact
+equality per summand, and checks that the route's dimensions, trivial
+included, add to (dim Z)^2.
 """
 
-import math
-
-from .classify import p_poly, q_closed
+from .classify import p_poly, q_from_spec
 from .fields import SymbolicField, VarContext
+from .reps import CLASSIFIED, RepSpec
 
 
 class BracketContext:
@@ -109,42 +111,25 @@ def exceptional_dims(ctx):
     )
 
 
-def dim_from_rep(d, eigenvalues, gamma, dim_z, i):
-    """Dimension of summand i from the braid-pair scalars.
+def route_table(spec):
+    """Eigenprojection values and trivial-summand pair scalars of a classified spec.
 
-    Index 1 labels the trivial summand and is pinned to dimension one;
-    any other index uses Q_1i (dim Z)^2 / (P_1(l_1) P_i(l_i)).  Repeated
-    eigenvalues make an eigenprojection value vanish and raise.
+    Returns (p, q1): p[i] = P_i(l_i) for i = 1..d and q1[i] = Q_1i for
+    i = 2..d, each evaluated once.  Repeated eigenvalues make an
+    eigenprojection value vanish and raise.
     """
-    if len(eigenvalues) != d:
-        raise ValueError("need one eigenvalue per summand")
-    if not 1 <= i <= d:
-        raise ValueError("summand index out of range")
-    field = eigenvalues[0].field
-    if i == 1:
-        return field.one
-    p1 = p_poly(1, eigenvalues).eval_scalar(eigenvalues[0])
-    pi = p_poly(i, eigenvalues).eval_scalar(eigenvalues[i - 1])
-    if p1.is_zero() or pi.is_zero():
+    eigs = spec.eigenvalues
+    p = {i: p_poly(i, eigs).eval_scalar(lam) for i, lam in enumerate(eigs, start=1)}
+    if any(value.is_zero() for value in p.values()):
         raise ValueError("eigenprojection value vanished; eigenvalues must be distinct")
-    q1i = q_closed(d, 1, i, list(eigenvalues), gamma)
-    return q1i * dim_z * dim_z / (p1 * pi)
+    q1 = {i: q_from_spec(spec, 1, i) for i in range(2, spec.dim + 1)}
+    return p, q1
 
 
-def derive_dimZ(d, eigenvalues, gamma, self_index):
-    """Dimension of Z read off the summand isomorphic to Z itself.
-
-    Equating the summand formula at self_index with dim Z pins
-    dim Z = P_1(l_1) P_self(l_self) / Q_{1,self}, sign included.
-    """
-    if len(eigenvalues) != d:
-        raise ValueError("need one eigenvalue per summand")
-    q1s = q_closed(d, 1, self_index, list(eigenvalues), gamma)
-    if q1s.is_zero():
-        raise ValueError("pair scalar vanishes at the self summand")
-    p1 = p_poly(1, eigenvalues).eval_scalar(eigenvalues[0])
-    ps = p_poly(self_index, eigenvalues).eval_scalar(eigenvalues[self_index - 1])
-    return p1 * ps / q1s
+def summand_dim(table, dim_z, i):
+    """Dimension of summand i > 1: Q_1i (dim Z)^2 / (P_1(l_1) P_i(l_i))."""
+    p, q1 = table
+    return q1[i] * dim_z * dim_z / (p[1] * p[i])
 
 
 class DimReport:
@@ -199,58 +184,54 @@ def _verify_bcd():
     # homogeneous of degree four in the eigenvalues and (alpha^2)^2 = 1,
     # so the route may fix alpha = 1 in the eigenvalue list and carry
     # alpha^2 through dim Z alone; both signs are still run and must
-    # produce identical summand dimensions.
+    # produce identical summand dimensions that, trivial included, add
+    # to (dim Z)^2.
     ctx = bcd_context()
     one = ctx.field.one
-    eigenvalues = [ctx.weight ** -1, -(ctx.base ** -1), ctx.base]
-    closed_x = closed_y = None
+    spec = RepSpec(CLASSIFIED, [ctx.weight ** -1, -(ctx.base ** -1), ctx.base])
+    table = route_table(spec)
     per_alpha = []
     for alpha_sq in (one, -one):
         dim_z, closed_x, closed_y = bcd_dims(ctx, alpha_sq)
-        per_alpha.append([
-            dim_from_rep(3, eigenvalues, None, dim_z, 2),
-            dim_from_rep(3, eigenvalues, None, dim_z, 3),
-        ])
+        routes = [summand_dim(table, dim_z, 2), summand_dim(table, dim_z, 3)]
+        if one + routes[0] + routes[1] != dim_z * dim_z:
+            raise RuntimeError("summand dimensions do not add to the square of dim Z")
+        per_alpha.append(routes)
     if per_alpha[0] != per_alpha[1]:
         raise RuntimeError("summand dimensions depend on the sign of alpha squared")
     routes = per_alpha[0]
     return [
-        DimReport(BCD_SUMMANDS[0], routes[0], closed_x, None, False),
-        DimReport(BCD_SUMMANDS[1], routes[1], closed_y, None, False),
+        DimReport(BCD_SUMMANDS[0], routes[0], closed_x, spec.root_param, False),
+        DimReport(BCD_SUMMANDS[1], routes[1], closed_y, spec.root_param, False),
     ]
 
 
 def _verify_exceptional():
     ctx = exceptional_context()
-    one = ctx.field.one
     u, w = ctx.base, ctx.weight
-    eigenvalues = [u ** 12, -(u ** 6), -one, w ** 2, u ** 2 * w ** -2]
-    gamma = u ** 4
-    product = math.prod(eigenvalues, start=one)
-    # the fifth-root and central-scalar conventions the route relies on
-    if gamma ** 5 != product or product != u ** 20:
-        raise RuntimeError("eigenvalue product breaks the fifth-root convention")
-    if gamma ** 6 != u ** 24:
-        raise RuntimeError("central scalar is not the sixth power of gamma")
-    for i in range(2, 6):
-        if q_closed(5, 1, i, eigenvalues, gamma).is_zero():
-            raise RuntimeError("pair scalar vanished; the series pair must be simple")
-    dim_z = derive_dimZ(5, eigenvalues, gamma, 2)
-    routes = [dim_z] + [
-        dim_from_rep(5, eigenvalues, gamma, dim_z, i) for i in (3, 4, 5)
-    ]
+    # RepSpec checks the fifth-root convention gamma^5 = product of eigenvalues
+    spec = RepSpec(
+        CLASSIFIED,
+        [u ** 12, -(u ** 6), -ctx.field.one, w ** 2, u ** 2 * w ** -2],
+        root_param=u ** 4,
+    )
+    table = p, q1 = route_table(spec)
+    if any(value.is_zero() for value in q1.values()):
+        raise RuntimeError("pair scalar vanished; the series pair must be simple")
+    # summand 2 is Z itself; equating its formula with dim Z pins
+    # dim Z = P_1(l_1) P_2(l_2) / Q_12, sign included
+    dim_z = p[1] * p[2] / q1[2]
+    routes = [dim_z] + [summand_dim(table, dim_z, i) for i in (3, 4, 5)]
     # the summand dimensions, trivial included, must add to (dim Z)^2;
     # this pins the sign of dim Z and is independent of the catalog.
     # Cleared of denominators: summing the unreduced fractions directly
     # multiplies their denominators into minute-scale arithmetic.
-    pv = [p_poly(i, eigenvalues).eval_scalar(eigenvalues[i - 1]) for i in range(1, 6)]
-    q1 = {i: q_closed(5, 1, i, eigenvalues, gamma) for i in range(2, 6)}
-    n, d = pv[0] * pv[1], q1[2]
-    tail = pv[0] * pv[2] * pv[3] * pv[4]
+    n, d = p[1] * p[2], q1[2]
+    tail = p[1] * p[3] * p[4] * p[5]
     lhs = (d * d * tail + n * d * tail
-           + n * n * (q1[3] * pv[3] * pv[4]
-                      + q1[4] * pv[2] * pv[4]
-                      + q1[5] * pv[2] * pv[3]))
+           + n * n * (q1[3] * p[4] * p[5]
+                      + q1[4] * p[3] * p[5]
+                      + q1[5] * p[3] * p[4]))
     if lhs != n * n * tail:
         raise RuntimeError("summand dimensions do not add to the square of dim Z")
     catalog = list(exceptional_dims(ctx))
@@ -263,6 +244,6 @@ def _verify_exceptional():
         routes = flipped
         sign_flip = True
     return [
-        DimReport(name, a, b, gamma, sign_flip)
+        DimReport(name, a, b, spec.root_param, sign_flip)
         for name, a, b in zip(EXCEPTIONAL_SUMMANDS, routes, catalog)
     ]

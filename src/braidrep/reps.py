@@ -334,16 +334,18 @@ class StructureReport:
 
 def structure_report(rep):
     """Run every structural check; raises if the braid relation fails."""
-    if not verify_braid(rep):
-        raise ValueError("braid relation fails; no structure to report")
     a, b, d = rep.A, rep.B, rep.dim
+    # one ABA and one BA serve the braid check and the reads below
+    aba = a * b * a
+    ba = b * a
+    if aba != ba * b:
+        raise ValueError("braid relation fails; no structure to report")
     field = rep.field
     eigs = rep.spec.eigenvalues
     report = StructureReport()
     report.braid_ok = True
     report.triangular_ok = verify_ordered_triangular(rep)
 
-    aba = a * b * a
     report.skew_diag_ok = aba.zero_outside(lambda i, j: i + j == d + 1)
     sigmas = [aba.entry(i, d + 1 - i) for i in range(1, d + 1)]
     report.sigmas = tuple(sigmas)
@@ -366,7 +368,6 @@ def structure_report(rep):
         for j in range(1, d + 1)
     )
 
-    ba = b * a
     report.ba_skew_ok = all(
         eigs[i - 1] * ba.entry(i, d + 1 - i) == sigmas[i - 1] for i in range(1, d + 1)
     )

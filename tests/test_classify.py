@@ -18,7 +18,6 @@ from braidrep.classify import (
     is_simple,
     obstruction_generators,
     p_poly,
-    q_closed,
     q_corner,
     q_from_spec,
     q_oracle,
@@ -58,22 +57,26 @@ def frac(n, d=1):
 # closed-form scalars on frozen inputs
 
 
+def q_of(eigenvalues, r, s):
+    return q_from_spec(RepSpec(CLASSIFIED, eigenvalues), r, s)
+
+
 def test_q_closed_dim2_frozen_values():
     one = Q.one
-    assert q_closed(2, 1, 2, [one, one]) == -one
+    assert q_of([one, one], 1, 2) == -one
     # lambda2 = primitive sixth root times lambda1 kills the scalar
     z = cyclotomic_field(6)
-    assert q_closed(2, 1, 2, [z.one, z.gen]) == z.zero
-    assert q_closed(2, 1, 2, [Q.const(2), Q.const(3)]) == Q.const(-7)
+    assert q_of([z.one, z.gen], 1, 2) == z.zero
+    assert q_of([Q.const(2), Q.const(3)], 1, 2) == Q.const(-7)
 
 
 def test_q_closed_dim3_frozen_values():
     vals = [Q.one, Q.one, -Q.one]
-    assert q_closed(3, 1, 2, vals) == Q.zero
+    assert q_of(vals, 1, 2) == Q.zero
     vals = [Q.one, Q.const(2), Q.const(3)]
-    assert q_closed(3, 1, 2, vals) == Q.const(49)
-    assert q_closed(3, 1, 3, vals) == Q.const(77)
-    assert q_closed(3, 2, 3, vals) == Q.const(77)
+    assert q_of(vals, 1, 2) == Q.const(49)
+    assert q_of(vals, 1, 3) == Q.const(77)
+    assert q_of(vals, 2, 3) == Q.const(77)
 
 
 def test_q_symmetric_in_the_pair():

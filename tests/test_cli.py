@@ -6,6 +6,7 @@ exit-code contract under test: 0 all checks passed, 1 usage or input
 error, 2 a mathematical check came back false.
 """
 
+import hashlib
 import io
 import json
 import subprocess
@@ -191,6 +192,20 @@ def test_classify_membership_flags(capsys):
     assert report["psl2z"] is True
 
 
+def test_classify_disagreeing_oracle_exits_two(capsys, monkeypatch):
+    real = cli.burnside_oracle
+    monkeypatch.setattr(cli, "burnside_oracle", lambda rep: not real(rep))
+    for extra in ([], ["--report-only"]):
+        code, out, _ = run_cli(capsys, [
+            "classify", "--dim", "2", "--eig", "1", "--eig", "1",
+            "--oracle", "burnside", *extra,
+        ])
+        assert code == 2
+        report = json.loads(out)
+        assert report["simple"] is True
+        assert report["burnside"] is False
+
+
 def test_classify_certificate_flag(capsys):
     code, out, _ = run_cli(capsys, [
         "classify", "--dim", "2", "--eig", "1", "--eig", "2", "--certificate",
@@ -243,6 +258,18 @@ def test_qpoly_single_pair_symbolic(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["pairs"] == [{"r": 1, "s": 2, "q": "-l1^2+l1*l2-l2^2"}]
+
+
+@pytest.mark.parametrize("dim, digest", [
+    (2, "401730a40ec891dadd60b0c8a267dc65c105673deb489ad834a8e399d46f2692"),
+    (3, "018fa97f7dc2f55772afce6cbaf51e53b8279f34ce0cabe3c144176a01a456e3"),
+    (4, "bc37c29d61d329cea149a58a7d2b2fd1ea7de698fa3e09419f291c9263fd16ab"),
+    (5, "c9f03c4cdb0bfaf4856f95ab9823345dd7fa9f9d076f4d810a89a787355b0473"),
+])
+def test_qpoly_symbolic_bytes(capsys, dim, digest):
+    code, out, _ = run_cli(capsys, ["qpoly", "--symbolic", "--dim", str(dim)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_qpoly_rejects_equal_indices(capsys):
@@ -309,6 +336,22 @@ def test_scan_disagreeing_oracle_exits_two(capsys, monkeypatch):
     ])
     assert code == 2
     assert [line.split(",")[8] for line in out.splitlines()[1:]] == ["disagree"] * 2
+
+
+def test_scan_into_closed_pipe_stops_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidrep", "scan", "--dim", "3", "--count", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline().startswith("index,")
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode != 0
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err
 
 
 def test_scan_internal_error_propagates(monkeypatch):

@@ -7,8 +7,12 @@ what is off.  These tests freeze the observed agreement pattern and the
 exact corrected expressions the route produces.
 """
 
+import hashlib
+import json
+
 import pytest
 
+from braidrep import dims
 from braidrep.dims import (
     BCD_SUMMANDS,
     EXCEPTIONAL_CATALOG,
@@ -16,13 +20,14 @@ from braidrep.dims import (
     bcd_context,
     bcd_dims,
     bracket_product,
-    derive_dimZ,
-    dim_from_rep,
     exceptional_context,
     exceptional_dims,
+    route_table,
+    summand_dim,
     verify_series,
 )
 from braidrep.fields import RationalField
+from braidrep.reps import CLASSIFIED, RepSpec
 
 
 Q = RationalField()
@@ -66,6 +71,12 @@ def test_bcd_dimz_flips_with_alpha_squared():
     assert y_minus == y_plus
 
 
+def report_sha256(reports):
+    """sha256 of the reports as `braidrep dims` prints them in JSON."""
+    text = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_verify_bcd_both_summands_match():
     reports = verify_series("bcd")
     assert [r.summand for r in reports] == list(BCD_SUMMANDS)
@@ -73,6 +84,24 @@ def test_verify_bcd_both_summands_match():
         assert report.equal is True
         assert report.gamma is None
         assert report.sign_flip is False
+    assert report_sha256(reports) == (
+        "9e9c6129e85a7c66c128168acb87e3365aeeb6d93e806e37b1c38252e010f535"
+    )
+
+
+def test_verify_bcd_checks_the_partition_of_dimz_squared(monkeypatch):
+    # Doubling dim Z scales both summands by four for either sign of
+    # alpha^2, so the sign check still passes; only 1 + X + Y = (dim Z)^2
+    # catches it.
+    real = dims.bcd_dims
+
+    def doubled(ctx, alpha_sq):
+        dim_z, dim_x, dim_y = real(ctx, alpha_sq)
+        return dim_z + dim_z, dim_x, dim_y
+
+    monkeypatch.setattr(dims, "bcd_dims", doubled)
+    with pytest.raises(RuntimeError, match="square of dim Z"):
+        verify_series("bcd")
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +129,12 @@ def test_verify_exceptional_convention(exceptional_reports):
         assert report.sign_flip is False
 
 
+def test_verify_exceptional_bytes(exceptional_reports):
+    assert report_sha256(exceptional_reports) == (
+        "a185d4c6d37d604be1d9584c6da49b15a4d6de09b878782b1a67bce4e6e950a5"
+    )
+
+
 def test_report_json_shape(exceptional_reports):
     data = exceptional_reports[0].to_json_dict()
     assert list(data) == ["summand", "route_a", "route_b", "equal", "convention"]
@@ -120,26 +155,25 @@ def test_verify_series_rejects_unknown_series():
 # exceptional series: what the route actually equals
 
 
-@pytest.fixture(scope="module")
-def exceptional_routes():
-    ctx = exceptional_context()
-    one = ctx.field.one
+def exceptional_spec(ctx):
     u, w = ctx.base, ctx.weight
-    eigenvalues = [u ** 12, -(u ** 6), -one, w ** 2, u ** 2 * w ** -2]
-    gamma = u ** 4
-    dim_z = derive_dimZ(5, eigenvalues, gamma, 2)
-    routes = [dim_z] + [
-        dim_from_rep(5, eigenvalues, gamma, dim_z, i) for i in (3, 4, 5)
-    ]
-    return ctx, routes
+    return RepSpec(
+        CLASSIFIED,
+        [u ** 12, -(u ** 6), -ctx.field.one, w ** 2, u ** 2 * w ** -2],
+        root_param=u ** 4,
+    )
+
+
+@pytest.fixture(scope="module")
+def exceptional_routes(exceptional_reports):
+    # sign_flip is False (frozen above), so route_a is the route itself
+    return exceptional_context(), [r.route_a for r in exceptional_reports]
 
 
 def test_route_self_summand_reproduces_dimz(exceptional_routes):
     ctx, routes = exceptional_routes
-    one = ctx.field.one
-    u, w = ctx.base, ctx.weight
-    eigenvalues = [u ** 12, -(u ** 6), -one, w ** 2, u ** 2 * w ** -2]
-    assert dim_from_rep(5, eigenvalues, u ** 4, routes[0], 2) == routes[0]
+    table = route_table(exceptional_spec(ctx))
+    assert summand_dim(table, routes[0], 2) == routes[0]
 
 
 def test_route_disagreements_are_signs_except_the_dual(exceptional_routes):
@@ -191,28 +225,29 @@ def test_catalog_invariant_under_generator_inversion():
 
 
 # ---------------------------------------------------------------------------
-# route building blocks on rational inputs
+# route building blocks
 
 
-def test_dim_from_rep_trivial_summand_is_one():
-    eigenvalues = [Q.const(1), Q.const(2), Q.const(3)]
-    assert dim_from_rep(3, eigenvalues, None, Q.const(7), 1) == Q.one
+def test_route_table_rejects_repeated_eigenvalues():
+    repeated = RepSpec(CLASSIFIED, [Q.const(1), Q.const(1), Q.const(2)])
+    with pytest.raises(ValueError, match="distinct"):
+        route_table(repeated)
 
 
-def test_dim_from_rep_validates_inputs():
-    eigenvalues = [Q.const(1), Q.const(2), Q.const(3)]
-    with pytest.raises(ValueError):
-        dim_from_rep(2, eigenvalues, None, Q.one, 1)
-    with pytest.raises(ValueError):
-        dim_from_rep(3, eigenvalues, None, Q.one, 0)
-    with pytest.raises(ValueError):
-        dim_from_rep(3, eigenvalues, None, Q.one, 4)
-    repeated = [Q.const(1), Q.const(1), Q.const(2)]
-    with pytest.raises(ValueError):
-        dim_from_rep(3, repeated, None, Q.one, 3)
+def test_route_table_entries_on_rational_inputs():
+    # P_i(l_i) = prod over j != i of (l_i - l_j); Q_1i as in test_classify
+    p, q1 = route_table(RepSpec(CLASSIFIED, [Q.const(1), Q.const(2), Q.const(3)]))
+    assert p == {1: Q.const(2), 2: Q.const(-1), 3: Q.const(2)}
+    assert q1 == {2: Q.const(49), 3: Q.const(77)}
+    assert summand_dim((p, q1), Q.const(2), 3) == Q.const(77)
 
 
-def test_derive_dimz_rejects_vanishing_pair_scalar():
-    eigenvalues = [Q.const(1), Q.const(1), Q.const(-1)]
-    with pytest.raises(ValueError):
-        derive_dimZ(3, eigenvalues, None, 2)
+def test_exceptional_refuses_vanishing_pair_scalar(monkeypatch):
+    real = dims.q_from_spec
+
+    def vanishing_at_three(spec, r, s):
+        return spec.field.zero if (r, s) == (1, 3) else real(spec, r, s)
+
+    monkeypatch.setattr(dims, "q_from_spec", vanishing_at_three)
+    with pytest.raises(RuntimeError, match="pair scalar vanished"):
+        verify_series("exceptional")
