@@ -32,17 +32,8 @@ def p_poly(r, eigenvalues):
     if not 1 <= r <= d:
         raise ValueError("index %d out of range 1..%d" % (r, d))
     field = eigenvalues[0].field
-    coeffs = [field.one]
-    for i, lam in enumerate(eigenvalues, start=1):
-        if i == r:
-            continue
-        # multiply the accumulated polynomial by (x - lam)
-        nxt = [field.zero] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] = nxt[k + 1] + c
-            nxt[k] = nxt[k] - lam * c
-        coeffs = nxt
-    return UniPoly(field, coeffs)
+    linear = [UniPoly(field, [-lam, field.one]) for lam in eigenvalues]
+    return math.prod(linear[: r - 1] + linear[r:], start=UniPoly(field, [field.one]))
 
 
 def q_from_spec(spec, r, s):

@@ -19,7 +19,7 @@ import sys
 
 from .classify import burnside_oracle, deligne_check, is_simple, q_from_spec, sl2z_flags
 from .dims import verify_series
-from .fields import NumberField, ParseError, RationalField
+from .fields import NumberField, ParseError, RationalField, ZeroDivisorError
 from .reps import (
     CLASSIFIED,
     RepSpec,
@@ -167,26 +167,28 @@ def _read_rep(args):
 
 def cmd_verify(args):
     rep = _read_rep(args)
-    braid = verify_braid(rep)
-    triangular = verify_ordered_triangular(rep)
-    if args.check == "braid" or not braid:
-        data = {"braid_ok": braid, "triangular_ok": triangular}
-        ok = braid and triangular
-    else:
+    if args.check == "all":
+        # structure_report forms the braid products once and checks them
         try:
             report = structure_report(rep)
+        except ZeroDivisorError:
+            raise  # a reducible modulus is bad input, not a failed check
+        except (ValueError, ZeroDivisionError) as exc:
+            error = str(exc)
+        else:
             data = report.to_json_dict()
             data["structure_error"] = None
-            ok = report.all_ok()
-        except (ValueError, ZeroDivisionError) as exc:
-            # braid holds but the pair lacks the family structure (for
-            # example hand-written JSON); a failed check, not a crash
-            data = {
-                "braid_ok": braid,
-                "triangular_ok": triangular,
-                "structure_error": str(exc),
-            }
-            ok = False
+            _emit(data, args.format)
+            return OK if report.all_ok() else CHECK_FAILED
+    braid = verify_braid(rep)
+    triangular = verify_ordered_triangular(rep)
+    data = {"braid_ok": braid, "triangular_ok": triangular}
+    ok = braid and triangular
+    if args.check == "all" and braid:
+        # braid holds but the pair lacks the family structure (for
+        # example hand-written JSON); a failed check, not a crash
+        data["structure_error"] = error
+        ok = False
     _emit(data, args.format)
     return OK if ok else CHECK_FAILED
 

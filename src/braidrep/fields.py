@@ -10,6 +10,11 @@ rendering is deterministic and parse(render(x)) == x. All three backends parse
 with one grammar, a polynomial or '(num)/(den)' over the backend's variables
 (none for the rationals, the generator for a number field), and refuse a zero
 denominator at parse time.
+
+Every univariate-polynomial loop is one of three kernels on ascending
+coefficient sequences: poly_mul (schoolbook product), poly_divmod (division
+by a unit-led divisor) and horner (evaluation at a scalar, or at a matrix
+when the coefficients are scalar matrices).
 """
 
 from dataclasses import dataclass
@@ -28,6 +33,11 @@ class SpecializationError(ValueError):
 
 class ParseError(ValueError):
     pass
+
+
+class ZeroDivisorError(ZeroDivisionError, ValueError):
+    """Raised when a number-field element without an inverse is inverted: the
+    modulus was reducible, so the input was not a field."""
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -205,6 +215,45 @@ def square_and_multiply(base, k, one):
             base = base * base
         k >>= 1
     return result
+
+
+def poly_mul(a, b, zero):
+    """Schoolbook product of two ascending coefficient sequences."""
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == zero:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def poly_divmod(a, b):
+    """(quotient, remainder) of ascending coefficient sequences a by b; b's
+    leading entry must be a unit with an exact 1 / b[-1], as a nonzero
+    Fraction or Scalar is."""
+    rem = list(a)
+    n = len(b) - 1
+    lead_inv = 1 / b[-1]
+    quo = []
+    for i in range(len(rem) - 1, n - 1, -1):
+        factor = rem[i]
+        if factor != 0:
+            factor = factor * lead_inv
+            # entry i itself cancels exactly and is not read again
+            for j in range(n):
+                rem[i - n + j] = rem[i - n + j] - factor * b[j]
+        quo.append(factor)
+    return quo[::-1], rem[:n]
+
+
+def horner(coeffs, x):
+    """Sum of c_k * x^k over ascending coeffs by Horner's rule; x may be a
+    square matrix when every c_k is a scalar matrix c*I."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
 
 
 class Scalar:
@@ -436,7 +485,7 @@ class NumberField:
     """Q[x]/(m(x)) for a monic modulus m, elements as coefficient tuples of
     length deg(m). A reducible modulus of degree 2 to 4 is refused; one of
     degree 5 or more is trusted to be irreducible, and a reducible one
-    surfaces as a ZeroDivisionError on inversion of a zero divisor."""
+    surfaces as a ZeroDivisorError on inversion of a zero divisor."""
 
     mode = "algebraic"
 
@@ -474,14 +523,7 @@ class NumberField:
         return self.element([0, 1])
 
     def _reduce(self, coeffs):
-        coeffs = list(coeffs)
-        for i in range(len(coeffs) - 1, self.degree - 1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            for j in range(self.degree + 1):
-                coeffs[i - self.degree + j] -= c * self.modulus[j]
-        return coeffs[: self.degree]
+        return poly_divmod(coeffs, self.modulus)[1]
 
     def _add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -490,13 +532,7 @@ class NumberField:
         return tuple(-x for x in a)
 
     def _mul(self, a, b):
-        out = [Fraction(0)] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return tuple(self._reduce(out))
+        return tuple(self._reduce(poly_mul(a, b, Fraction(0))))
 
     def _inv(self, a):
         # solve a*b = 1 over Q: column k of the system holds a*z^k
@@ -512,7 +548,7 @@ class NumberField:
             for i in range(n)
         ))
         if space.pivots != list(range(n)):
-            raise ZeroDivisionError("zero divisor: modulus is not irreducible")
+            raise ZeroDivisorError("zero divisor: modulus %s is reducible" % self.modulus_render())
         return tuple(row[n].value for row in space.rows)
 
     def _is_zero(self, a):
@@ -591,7 +627,7 @@ def _splits(modulus):
         if p[0] % b == 0:
             pairs += [(b, p[0] // b), (-b, -(p[0] // b))]
     roots = {r for pair in pairs for r in pair}
-    if any(sum(c * r ** k for k, c in enumerate(p)) == 0 for r in roots):
+    if any(horner(p, r) == 0 for r in roots):
         return True
     if n < 4:
         return False

@@ -3,17 +3,17 @@
 Everything here works for any field object from :mod:`braidrep.fields`:
 rationals, rational functions, or number fields.  Sizes stay tiny (at most
 8x8), so the algorithms favour exactness and clarity over asymptotics.
-Determinants use a memoized Laplace expansion over column subsets, which is
-division free.  Every elimination (ranks, nullspaces, inverses, minimal
+Every elimination (determinants, ranks, nullspaces, inverses, minimal
 polynomials) goes through one kernel, the incremental reduced echelon form
-RowSpace.
+RowSpace; det reads its pivots off it.  UniPoly calls the polynomial
+kernels of braidrep.fields.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .fields import BackendMismatch, Scalar, square_and_multiply
+from .fields import BackendMismatch, Scalar, horner, poly_divmod, poly_mul, square_and_multiply
 
 MIN_DIM = 2
 MAX_DIM = 8
@@ -116,36 +116,20 @@ class SquareMatrix:
         return square_and_multiply(self, k, SquareMatrix.identity(self.field, self.dim))
 
     def det(self):
-        """Division-free determinant: Laplace expansion memoized on column sets."""
-        n = self.dim
-        rows = self.rows
-        cache = {}
-
-        def minor(row, colmask):
-            # determinant of the submatrix on rows row..n-1 and the columns in colmask
-            if row == n:
-                return self.field.one
-            key = colmask
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            total = self.field.zero
-            sign = 1
-            m = colmask
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                a = rows[row][j]
-                if not a.is_zero():
-                    sub = minor(row + 1, colmask & ~low)
-                    term = a * sub
-                    total = total + term if sign > 0 else total - term
-                sign = -sign
-                m &= m - 1
-            cache[key] = total
-            return total
-
-        return minor(0, (1 << n) - 1)
+        """Product of the pivots met while the rows are reduced in order,
+        negated once for each earlier pivot column right of a new one."""
+        space = RowSpace(self.field, self.dim)
+        det = self.field.one
+        for row in self.rows:
+            v = space.reduce(row)
+            pivot = next((j for j, x in enumerate(v) if not x.is_zero()), None)
+            if pivot is None:
+                return self.field.zero
+            if sum(p > pivot for p in space.pivots) % 2:
+                det = -det
+            det = det * v[pivot]
+            space.insert(v)
+        return det
 
     def inverse(self):
         n = self.dim
@@ -229,18 +213,15 @@ class UniPoly:
     def is_monic(self):
         return self.degree >= 0 and self.coeffs[-1] == self.field.one
 
+    def __mul__(self, other):
+        return UniPoly(self.field, poly_mul(self.coeffs, other.coeffs, self.field.zero))
+
     def eval_scalar(self, x):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def eval_matrix(self, m):
-        n = m.dim
-        acc = SquareMatrix.zeros(self.field, n)
-        for c in reversed(self.coeffs):
-            acc = acc * m + SquareMatrix.identity(self.field, n).scale(c)
-        return acc
+        ident = SquareMatrix.identity(self.field, m.dim)
+        return horner([ident.scale(c) for c in self.coeffs], m)
 
     def divides(self, other):
         _, rem = other.divmod(self)
@@ -249,20 +230,8 @@ class UniPoly:
     def divmod(self, divisor):
         if divisor.degree < 0:
             raise ZeroDivisionError("division by zero polynomial")
-        field = self.field
-        rem = list(self.coeffs)
-        dn = divisor.degree
-        lead_inv = divisor.coeffs[-1].inv()
-        q = [field.zero] * max(len(rem) - dn, 1)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i]
-            if c.is_zero():
-                continue
-            factor = c * lead_inv
-            q[i - dn] = factor
-            for j in range(dn + 1):
-                rem[i - dn + j] = rem[i - dn + j] - factor * divisor.coeffs[j]
-        return UniPoly(field, q), UniPoly(field, rem)
+        quo, rem = poly_divmod(self.coeffs, divisor.coeffs)
+        return UniPoly(self.field, quo), UniPoly(self.field, rem)
 
     def __repr__(self):
         # coefficients in ascending order

@@ -535,10 +535,6 @@ def rep_to_json_dict(rep):
     return out
 
 
-def rep_to_json(rep):
-    return json.dumps(rep_to_json_dict(rep), indent=2)
-
-
 def rep_from_json_dict(data):
     variables = data.get("variables") or []
     if variables:

@@ -81,13 +81,22 @@ def test_reducible_modulus_is_an_input_error(capsys):
     assert "reducible" in err
 
 
+# (z^2+1)(z^3+2): a quintic modulus is trusted, and reaching an inversion of
+# the zero divisor z^2+1 ends the run, through the span oracle or through the
+# determinant that the membership flags read
+QUINTIC = ["--modulus", "z^5+z^3+2*z^2+2", "--eig", "z^2+1", "--eig", "1"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["--modulus", "z^3-1", "--eig", "z", "--eig", "1"],
-    ["--modulus", "z^4+3*z^2+2", "--eig", "z^2+1", "--eig", "1", "--oracle", "burnside"],
-], ids=["cubic", "quartic"])
+    ["--dim", "2", "--modulus", "z^3-1", "--eig", "z", "--eig", "1"],
+    ["--dim", "2", "--modulus", "z^4+3*z^2+2", "--eig", "z^2+1", "--eig", "1",
+     "--oracle", "burnside"],
+    ["--dim", "2", *QUINTIC, "--oracle", "burnside"],
+    ["--dim", "3", *QUINTIC, "--eig", "2", "--membership"],
+], ids=["cubic", "quartic", "quintic-oracle", "quintic-membership"])
 def test_reducible_higher_degree_modulus_is_an_input_error(argv):
     result = subprocess.run(
-        [sys.executable, "-m", "braidrep", "classify", "--dim", "2", *argv],
+        [sys.executable, "-m", "braidrep", "classify", *argv],
         capture_output=True, text=True,
     )
     assert result.returncode == 1
@@ -113,6 +122,11 @@ def test_construct_binomial_family(capsys):
 def test_construct_verify_pipe(capsys, monkeypatch, d):
     code, out, _ = run_cli(capsys, ["construct", "--dim", str(d), "--symbolic"])
     assert code == 0
+
+    def formed_twice(rep):
+        raise AssertionError("structure_report already checked the braid relation")
+
+    monkeypatch.setattr(cli, "verify_braid", formed_twice)
     code, out, _ = run_cli(capsys, ["verify"], stdin_text=out, monkeypatch=monkeypatch)
     assert code == 0
     report = json.loads(out)
@@ -129,6 +143,36 @@ def test_verify_perturbed_entry_fails(capsys, monkeypatch):
     )
     assert code == 2
     assert json.loads(out)["braid_ok"] is False
+
+
+def hand_written_pair(diagonal, modulus=None):
+    """Pair JSON with A = B = diag(diagonal), braided since A and B commute."""
+    d = len(diagonal)
+    diag = [[diagonal[i] if i == j else "0" for j in range(d)] for i in range(d)]
+    data = {"dim": d, "family": "classified", "eigenvalues": diagonal, "A": diag, "B": diag}
+    if modulus:
+        data["modulus"] = modulus
+    return json.dumps(data)
+
+
+def test_verify_reports_missing_structure(capsys, monkeypatch):
+    # braided, but B's diagonal is not A's reversed and (ABA)^2 = diag(1, 64)
+    code, out, _ = run_cli(
+        capsys, ["verify"], stdin_text=hand_written_pair(["1", "2"]), monkeypatch=monkeypatch
+    )
+    assert code == 2
+    assert json.loads(out) == {
+        "braid_ok": True, "triangular_ok": False, "structure_error": "ABA squared is not scalar",
+    }
+
+
+def test_verify_zero_divisor_is_an_input_error(capsys, monkeypatch):
+    # (ABA)^2 = (z^2+1)^6 I, so the determinant is reached and meets z^2+1
+    text = hand_written_pair(["z^2+1", "-z^2-1"], modulus="z^5+z^3+2*z^2+2")
+    code, out, err = run_cli(capsys, ["verify"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert "error: zero divisor: modulus z^5+z^3+2*z^2+2" in err
 
 
 def test_verify_rejects_malformed_json(capsys, monkeypatch):

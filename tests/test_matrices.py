@@ -1,6 +1,8 @@
 """Exact linear algebra checks: inverses, characteristic/minimal polynomials, spans."""
 
 from fractions import Fraction
+from itertools import permutations
+import math
 import random
 
 import pytest
@@ -69,6 +71,37 @@ def test_det_multiplicative_and_triangular():
         ],
     )
     assert tri.det() == diag[0] * diag[1] * diag[2]
+
+
+def leibniz_det(m):
+    """Sum over permutations of the signed products of entries, the reference."""
+    n = m.dim
+    total = m.field.zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = math.prod((m.rows[i][perm[i]] for i in range(n)), start=m.field.one)
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_det_matches_leibniz_formula():
+    q = RationalField()
+    one, zero = q.one, q.zero
+    # every permutation matrix of size 5: the pivot columns arrive in each order
+    for perm in permutations(range(5)):
+        m = SquareMatrix(q, [[one if j == p else zero for j in range(5)] for p in perm])
+        assert m.det() == leibniz_det(m), perm
+    rng = random.Random(8128)
+    for n in range(2, 6):
+        for trial in range(12):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            rows[trial % n][0] = 0  # a zero leading entry
+            if trial % 3 == 0:
+                # singular: the last row a combination of earlier ones
+                rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[-2])]
+            rng.shuffle(rows)
+            m = SquareMatrix(q, [[q.const(x) for x in row] for row in rows])
+            assert m.det() == leibniz_det(m), rows
 
 
 def test_singular_matrix_raises():
