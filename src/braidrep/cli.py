@@ -266,6 +266,8 @@ def _scan_row(index, spec, args):
 def cmd_scan(args):
     if args.count < 0:
         raise CLIError("--count must be nonnegative")
+    if args.bound < 1:
+        raise CLIError("--bound must be at least 1")
     if not 2 <= args.dim <= 5:
         raise CLIError("scan covers the classified family, dimensions 2..5")
     rng = random.Random(args.seed)

@@ -9,13 +9,15 @@ eigenprojection values P then express every summand dimension as
 
 with index 1 on the trivial summand.  Each series is a classified RepSpec;
 its route table holds every P_i(l_i) and Q_1i, evaluated once, and the
-summand dimensions read that table.  This module compares them with a
-catalog of closed bracket formulas for two series, reporting exact
-equality per summand, and checks that the route's dimensions, trivial
-included, add to (dim Z)^2.
+summand dimensions read that table.  Both series then run one pipeline:
+one partition check, read off the table, that the route's dimensions,
+trivial included, add to (dim Z)^2, and one comparison with a catalog
+of closed bracket formulas, reporting exact equality per summand.
 """
 
-from .classify import p_poly, q_from_spec
+import math
+
+from .classify import q_from_spec
 from .fields import SymbolicField, VarContext
 from .reps import CLASSIFIED, RepSpec
 
@@ -114,12 +116,14 @@ def exceptional_dims(ctx):
 def route_table(spec):
     """Eigenprojection values and trivial-summand pair scalars of a classified spec.
 
-    Returns (p, q1): p[i] = P_i(l_i) for i = 1..d and q1[i] = Q_1i for
-    i = 2..d, each evaluated once.  Repeated eigenvalues make an
-    eigenprojection value vanish and raise.
+    Returns (p, q1): p[i] = P_i(l_i), the product of l_i - l_j over
+    j != i, for i = 1..d and q1[i] = Q_1i for i = 2..d, each evaluated
+    once.  Repeated eigenvalues make an eigenprojection value vanish and
+    raise.
     """
     eigs = spec.eigenvalues
-    p = {i: p_poly(i, eigs).eval_scalar(lam) for i, lam in enumerate(eigs, start=1)}
+    p = {i: math.prod(lam - other for other in eigs[: i - 1] + eigs[i:])
+         for i, lam in enumerate(eigs, start=1)}
     if any(value.is_zero() for value in p.values()):
         raise ValueError("eigenprojection value vanished; eigenvalues must be distinct")
     q1 = {i: q_from_spec(spec, 1, i) for i in range(2, spec.dim + 1)}
@@ -130,6 +134,21 @@ def summand_dim(table, dim_z, i):
     """Dimension of summand i > 1: Q_1i (dim Z)^2 / (P_1(l_1) P_i(l_i))."""
     p, q1 = table
     return q1[i] * dim_z * dim_z / (p[1] * p[i])
+
+
+def partition_holds(table, dim_z):
+    """Whether the summand dimensions, trivial included, add to (dim Z)^2.
+
+    Checked divided through by (dim Z)^2 / P_1(l_1), as
+    P_1/(dim Z)^2 + sum over i > 1 of Q_1i/P_i(l_i) = P_1(l_1): summing
+    the unreduced dimensions directly multiplies their denominators into
+    minute-scale arithmetic.
+    """
+    p, q1 = table
+    total = p[1] / (dim_z * dim_z)
+    for i, q in q1.items():
+        total = total + q / p[i]
+    return total == p[1]
 
 
 class DimReport:
@@ -178,6 +197,24 @@ def verify_series(series):
     raise ValueError("series must be 'bcd' or 'exceptional'")
 
 
+def _compare(table, dim_z, routes, catalog, names, gamma):
+    """Partition check, then one DimReport per summand against the catalog.
+
+    One global sign flip of all Q-derived quantities is allowed, but only
+    when it makes the whole catalog match; the routes are nonzero, so it
+    never engages while some summand already matches.
+    """
+    if any(value.is_zero() for value in table[1].values()):
+        raise RuntimeError("pair scalar vanished; the series pair must be simple")
+    if not partition_holds(table, dim_z):
+        raise RuntimeError("summand dimensions do not add to the square of dim Z")
+    rows = list(zip(names, routes, catalog))
+    reports = [DimReport(n, a, b, gamma, False) for n, a, b in rows]
+    if not any(r.equal for r in reports) and all(-a == b for _, a, b in rows):
+        reports = [DimReport(n, -a, b, gamma, True) for n, a, b in rows]
+    return reports
+
+
 def _verify_bcd():
     # The braiding eigenvalues carry a free unit alpha with only
     # alpha^2 = +-1 observable.  Q_1i and P_1(l_1) P_i(l_i) are both
@@ -192,18 +229,12 @@ def _verify_bcd():
     table = route_table(spec)
     per_alpha = []
     for alpha_sq in (one, -one):
-        dim_z, closed_x, closed_y = bcd_dims(ctx, alpha_sq)
-        routes = [summand_dim(table, dim_z, 2), summand_dim(table, dim_z, 3)]
-        if one + routes[0] + routes[1] != dim_z * dim_z:
-            raise RuntimeError("summand dimensions do not add to the square of dim Z")
-        per_alpha.append(routes)
-    if per_alpha[0] != per_alpha[1]:
+        dim_z, *catalog = bcd_dims(ctx, alpha_sq)
+        routes = [summand_dim(table, dim_z, i) for i in (2, 3)]
+        per_alpha.append(_compare(table, dim_z, routes, catalog, BCD_SUMMANDS, spec.root_param))
+    if [r.route_a for r in per_alpha[0]] != [r.route_a for r in per_alpha[1]]:
         raise RuntimeError("summand dimensions depend on the sign of alpha squared")
-    routes = per_alpha[0]
-    return [
-        DimReport(BCD_SUMMANDS[0], routes[0], closed_x, spec.root_param, False),
-        DimReport(BCD_SUMMANDS[1], routes[1], closed_y, spec.root_param, False),
-    ]
+    return per_alpha[0]
 
 
 def _verify_exceptional():
@@ -216,34 +247,10 @@ def _verify_exceptional():
         root_param=u ** 4,
     )
     table = p, q1 = route_table(spec)
-    if any(value.is_zero() for value in q1.values()):
-        raise RuntimeError("pair scalar vanished; the series pair must be simple")
     # summand 2 is Z itself; equating its formula with dim Z pins
     # dim Z = P_1(l_1) P_2(l_2) / Q_12, sign included
     dim_z = p[1] * p[2] / q1[2]
     routes = [dim_z] + [summand_dim(table, dim_z, i) for i in (3, 4, 5)]
-    # the summand dimensions, trivial included, must add to (dim Z)^2;
-    # this pins the sign of dim Z and is independent of the catalog.
-    # Cleared of denominators: summing the unreduced fractions directly
-    # multiplies their denominators into minute-scale arithmetic.
-    n, d = p[1] * p[2], q1[2]
-    tail = p[1] * p[3] * p[4] * p[5]
-    lhs = (d * d * tail + n * d * tail
-           + n * n * (q1[3] * p[4] * p[5]
-                      + q1[4] * p[3] * p[5]
-                      + q1[5] * p[3] * p[4]))
-    if lhs != n * n * tail:
-        raise RuntimeError("summand dimensions do not add to the square of dim Z")
-    catalog = list(exceptional_dims(ctx))
-    # one global sign flip of all Q-derived quantities is allowed, but
-    # only when it makes the whole catalog match; it never engages
-    # partially
-    sign_flip = False
-    flipped = [-value for value in routes]
-    if all(a == b for a, b in zip(flipped, catalog)):
-        routes = flipped
-        sign_flip = True
-    return [
-        DimReport(name, a, b, spec.root_param, sign_flip)
-        for name, a, b in zip(EXCEPTIONAL_SUMMANDS, routes, catalog)
-    ]
+    return _compare(
+        table, dim_z, routes, exceptional_dims(ctx), EXCEPTIONAL_SUMMANDS, spec.root_param,
+    )

@@ -345,8 +345,6 @@ class Scalar:
 class RationalField:
     """Plain exact rationals."""
 
-    mode = "rational"
-
     def const(self, value):
         return Scalar(self, Fraction(value))
 
@@ -401,8 +399,6 @@ class SymbolicField:
     rational content and monomial content only; a denominator that is a single
     Laurent term therefore always normalizes to 1. Equality cross-multiplies.
     """
-
-    mode = "symbolic"
 
     def __init__(self, context):
         self.context = context
@@ -486,8 +482,6 @@ class NumberField:
     length deg(m). A reducible modulus of degree 2 to 4 is refused; one of
     degree 5 or more is trusted to be irreducible, and a reducible one
     surfaces as a ZeroDivisorError on inversion of a zero divisor."""
-
-    mode = "algebraic"
 
     def __init__(self, modulus, gen_name="z"):
         modulus = tuple(Fraction(c) for c in modulus)

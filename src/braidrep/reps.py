@@ -123,6 +123,14 @@ class Rep:
         return self.spec.field
 
 
+_SYMBOLIC_NAMES = {
+    2: ("l1", "l2"),
+    3: ("l1", "l2", "l3"),
+    4: ("l1", "l2", "l3", "D"),
+    5: ("l1", "l2", "l3", "l4", "g"),
+}
+
+
 def symbolic_classified_spec(d):
     """Fully symbolic spec for the classified family.
 
@@ -130,23 +138,14 @@ def symbolic_classified_spec(d):
     eliminated via the root constraint; d=5 (l1..l4,g) with l5 eliminated.
     Returns (field, spec).
     """
-    if d == 2:
-        field = SymbolicField(VarContext(("l1", "l2")))
-        eigs = [field.var("l1"), field.var("l2")]
-        return field, RepSpec(CLASSIFIED, eigs)
-    if d == 3:
-        field = SymbolicField(VarContext(("l1", "l2", "l3")))
-        eigs = [field.var(n) for n in ("l1", "l2", "l3")]
-        return field, RepSpec(CLASSIFIED, eigs)
-    if d == 4:
-        field = SymbolicField(VarContext(("l1", "l2", "l3", "D")))
-        l1, l2, l3, dd = (field.var(n) for n in ("l1", "l2", "l3", "D"))
-        return field, solved_classified_spec([l1, l2, l3], dd)
-    if d == 5:
-        field = SymbolicField(VarContext(("l1", "l2", "l3", "l4", "g")))
-        l1, l2, l3, l4, g = (field.var(n) for n in ("l1", "l2", "l3", "l4", "g"))
-        return field, solved_classified_spec([l1, l2, l3, l4], g)
-    raise RepSpecError(f"no classified family in dimension {d}")
+    if d not in _SYMBOLIC_NAMES:
+        raise RepSpecError(f"no classified family in dimension {d}")
+    names = _SYMBOLIC_NAMES[d]
+    field = SymbolicField(VarContext(names))
+    values = [field.var(n) for n in names]
+    if d <= 3:
+        return field, RepSpec(CLASSIFIED, values)
+    return field, solved_classified_spec(values[:-1], values[-1])
 
 
 def solved_classified_spec(eigenvalues, root):

@@ -22,23 +22,18 @@ def small_fraction(rng, bound=10):
 def random_classified_spec(d, rng, field=None, bound=10):
     """Random specialized spec for the classified family.
 
-    For d=4 and d=5 the last eigenvalue is derived from the root parameter,
-    so the family constraint holds by construction.
+    d values are drawn.  For d=4 and d=5 the last one is the root parameter
+    and the last eigenvalue is derived from it, so the family constraint
+    holds by construction.
     """
+    if not 2 <= d <= 5:
+        raise ValueError("classified family covers dimensions 2..5, got %d" % d)
     if field is None:
         field = RationalField()
-    if d in (2, 3):
-        eigs = [field.const(small_fraction(rng, bound)) for _ in range(d)]
-        return RepSpec(CLASSIFIED, eigs)
-    if d == 4:
-        l1, l2, l3 = (field.const(small_fraction(rng, bound)) for _ in range(3))
-        root = field.const(small_fraction(rng, bound))
-        return solved_classified_spec([l1, l2, l3], root)
-    if d == 5:
-        l1, l2, l3, l4 = (field.const(small_fraction(rng, bound)) for _ in range(4))
-        g = field.const(small_fraction(rng, bound))
-        return solved_classified_spec([l1, l2, l3, l4], g)
-    raise ValueError("classified family covers dimensions 2..5, got %d" % d)
+    values = [field.const(small_fraction(rng, bound)) for _ in range(d)]
+    if d <= 3:
+        return RepSpec(CLASSIFIED, values)
+    return solved_classified_spec(values[:-1], values[-1])
 
 
 def degenerate_classified_spec(d, rng, field=None, bound=10):

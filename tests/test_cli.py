@@ -382,6 +382,19 @@ def test_scan_disagreeing_oracle_exits_two(capsys, monkeypatch):
     assert [line.split(",")[8] for line in out.splitlines()[1:]] == ["disagree"] * 2
 
 
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_scan_refuses_a_bound_below_one(bound):
+    result = subprocess.run(
+        [sys.executable, "-m", "braidrep", "scan", "--dim", "3", "--count", "2",
+         "--bound", bound],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_scan_into_closed_pipe_stops_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "braidrep", "scan", "--dim", "3", "--count", "3000"],

@@ -9,6 +9,7 @@ exact corrected expressions the route produces.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -22,12 +23,14 @@ from braidrep.dims import (
     bracket_product,
     exceptional_context,
     exceptional_dims,
+    partition_holds,
     route_table,
     summand_dim,
     verify_series,
 )
 from braidrep.fields import RationalField
 from braidrep.reps import CLASSIFIED, RepSpec
+from braidrep.samplers import random_classified_spec, small_fraction
 
 
 Q = RationalField()
@@ -102,6 +105,31 @@ def test_verify_bcd_checks_the_partition_of_dimz_squared(monkeypatch):
     monkeypatch.setattr(dims, "bcd_dims", doubled)
     with pytest.raises(RuntimeError, match="square of dim Z"):
         verify_series("bcd")
+
+
+def negating_bcd_catalog(monkeypatch, negate):
+    real = dims.bcd_dims
+
+    def negated(ctx, alpha_sq):
+        dim_z, *closed = real(ctx, alpha_sq)
+        return (dim_z, *(-v if k in negate else v for k, v in enumerate(closed)))
+
+    monkeypatch.setattr(dims, "bcd_dims", negated)
+
+
+def test_sign_flip_engages_when_every_negated_route_matches(monkeypatch):
+    negating_bcd_catalog(monkeypatch, {0, 1})
+    reports = verify_series("bcd")
+    assert [(r.equal, r.sign_flip) for r in reports] == [(True, True)] * 2
+    for report in reports:
+        assert report.route_a == report.route_b
+        assert report.to_json_dict()["convention"]["sign_flip"] is True
+
+
+def test_sign_flip_never_engages_partially(monkeypatch):
+    negating_bcd_catalog(monkeypatch, {1})
+    reports = verify_series("bcd")
+    assert [(r.equal, r.sign_flip) for r in reports] == [(True, False), (False, False)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +279,43 @@ def test_exceptional_refuses_vanishing_pair_scalar(monkeypatch):
     monkeypatch.setattr(dims, "q_from_spec", vanishing_at_three)
     with pytest.raises(RuntimeError, match="pair scalar vanished"):
         verify_series("exceptional")
+
+
+def test_exceptional_partition_catches_a_corrupted_summand(monkeypatch):
+    # a doubled Q_13 leaves every pair scalar nonzero and changes only
+    # the route of one summand, so only the partition check can see it
+    real = dims.q_from_spec
+
+    def doubled_at_three(spec, r, s):
+        value = real(spec, r, s)
+        return value + value if (r, s) == (1, 3) else value
+
+    monkeypatch.setattr(dims, "q_from_spec", doubled_at_three)
+    with pytest.raises(RuntimeError, match="square of dim Z"):
+        verify_series("exceptional")
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_partition_holds_matches_the_direct_sum(d):
+    # Over Q the direct identity 1 + sum of dims = (dim Z)^2 is cheap.  A
+    # sampled table rarely admits a rational dim Z, so P_1(l_1) is reset
+    # to the value z^2 S / (z^2 - 1), S = sum of Q_1i / P_i(l_i), that
+    # makes a sampled z the true dim Z; 2z is then a false one.
+    rng = random.Random(d)
+    checked = 0
+    while checked < 4:
+        spec = random_classified_spec(d, rng)
+        z = Q.const(small_fraction(rng))
+        if len({lam.value for lam in spec.eigenvalues}) < d or z * z == Q.one:
+            continue
+        table = p, q1 = route_table(spec)
+        tail = sum((q / p[i] for i, q in q1.items()), Q.zero)
+        if tail.is_zero():
+            continue
+        p[1] = z * z * tail / (z * z - Q.one)
+        checked += 1
+        for dim_z, holds in ((z, True), (z + z, False)):
+            direct = Q.one + sum(
+                (summand_dim(table, dim_z, i) for i in q1), Q.zero
+            ) == dim_z * dim_z
+            assert partition_holds(table, dim_z) == direct == holds
