@@ -14,6 +14,7 @@ the closed forms.
 Every check is exact; nothing here tolerates approximation.
 """
 
+from collections import deque, namedtuple
 from itertools import combinations
 import math
 
@@ -118,19 +119,9 @@ def q_corner(rep):
     return m.entry(d, d)
 
 
-class Obstruction:
-    """One evaluated obstruction generator: a label, the eigenvalue indices
-    involved, and the exact value at the spec's parameters."""
-
-    __slots__ = ("label", "indices", "value")
-
-    def __init__(self, label, indices, value):
-        self.label = label
-        self.indices = indices
-        self.value = value
-
-    def __repr__(self):
-        return "Obstruction(%s=%s)" % (self.label, self.value.render())
+# One evaluated obstruction generator: a label, the eigenvalue indices
+# involved, and the exact value at the spec's parameters.
+Obstruction = namedtuple("Obstruction", "label indices value")
 
 
 def obstruction_generators(spec):
@@ -192,13 +183,14 @@ class ClassificationReport:
     """Simplicity verdict plus any optional checks that were run.
 
     vanishing_factors holds the zero obstruction generators as (label,
-    indices) pairs.  sl2z/psl2z, burnside, deligne_certificate and westbury
-    stay None unless their checks ran.
+    indices) pairs.  sl2z/psl2z, burnside and deligne_certificate stay None
+    unless their checks ran.  The JSON ends in a westbury key that is always
+    null, so its shape stays stable.
     """
 
     __slots__ = (
         "simple", "vanishing_factors", "sl2z", "psl2z",
-        "burnside", "deligne_certificate", "westbury",
+        "burnside", "deligne_certificate",
     )
 
     def __init__(self, simple, vanishing_factors):
@@ -208,7 +200,6 @@ class ClassificationReport:
         self.psl2z = None
         self.burnside = None
         self.deligne_certificate = None
-        self.westbury = None
 
     def to_json_dict(self):
         return {
@@ -221,10 +212,7 @@ class ClassificationReport:
             "psl2z": self.psl2z,
             "burnside": self.burnside,
             "deligne_certificate": self.deligne_certificate,
-            "westbury": (
-                None if self.westbury is None
-                else {"n": list(self.westbury[:2]), "m": list(self.westbury[2:])}
-            ),
+            "westbury": None,
         }
 
 
@@ -257,10 +245,11 @@ def is_simple(spec):
 def burnside_oracle(rep):
     """Span oracle: do words in {A, B} span the full matrix ring?
 
-    Closure iteration over an incrementally reduced row space; each round
-    multiplies the newly added spanning matrices by A and B on the right.
-    The chain must stabilize within dim^2 strict growth steps, so exceeding
-    twice that many rounds is an internal error.  Specialized backends only.
+    One FIFO queue of words over an incrementally reduced row space: each
+    queued word is multiplied by A and B on the right, and a product is
+    queued when it enlarges the span.  Every queued word enlarged the span,
+    so at most dim^2 words are queued and the loop ends by construction; it
+    stops as soon as the rank is dim^2.  Specialized backends only.
     """
     field = rep.field
     if isinstance(field, SymbolicField):
@@ -270,19 +259,15 @@ def burnside_oracle(rep):
     space = RowSpace(field, target)
     ident = SquareMatrix.identity(field, d)
     space.insert(vec(ident))
-    frontier = [ident]
-    rounds = 0
-    while frontier and space.rank < target:
-        rounds += 1
-        if rounds > 2 * target:
-            raise RuntimeError("span closure failed to stabilize")
-        fresh = []
-        for m in frontier:
-            for gen in (rep.A, rep.B):
-                prod = m * gen
-                if space.insert(vec(prod)):
-                    fresh.append(prod)
-        frontier = fresh
+    queue = deque([ident])
+    while queue:
+        m = queue.popleft()
+        for gen in (rep.A, rep.B):
+            if space.rank == target:
+                return True
+            prod = m * gen
+            if space.insert(vec(prod)):
+                queue.append(prod)
     return space.rank == target
 
 

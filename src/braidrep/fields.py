@@ -90,9 +90,9 @@ class LaurentPolynomial:
         return cls(context, {(0,) * len(context): value})
 
     @classmethod
-    def var(cls, context, name, power=1):
+    def var(cls, context, name):
         mono = [0] * len(context)
-        mono[context.index(name)] = power
+        mono[context.index(name)] = 1
         return cls(context, {tuple(mono): Fraction(1)})
 
     def is_zero(self):

@@ -182,11 +182,6 @@ def build_rep(spec):
             [z, l2, l2],
             [z, z, l3],
         ])
-        b = SquareMatrix(field, [
-            [l3, z, z],
-            [-l2, l2, z],
-            [l2, -top, l1],
-        ])
     elif d == 4:
         l1, l2, l3, l4 = eigs
         dd = spec.root_param
@@ -220,11 +215,12 @@ def build_rep(spec):
             [z, z, z, l4, l4],
             [z, z, z, z, l5],
         ])
+    if d % 2 == 1:
         # B is forced by the skew symmetry b_ij = (-1)^(i+j) a_(bar i, bar j),
-        # which holds exactly in this dimension (odd d keeps it radical-free)
+        # which holds exactly in the odd dimensions 3 and 5 (radical-free there)
         b = SquareMatrix.from_function(
-            field, 5,
-            lambda i, j: (-1) ** (i + j) * a.entry(6 - i, 6 - j),
+            field, d,
+            lambda i, j: (-1) ** (i + j) * a.entry(d + 1 - i, d + 1 - j),
         )
     return Rep(spec, a, b)
 

@@ -29,6 +29,7 @@ from braidrep.fields import (
     RationalField,
     cyclotomic_field,
 )
+from braidrep import matrices
 from braidrep.matrices import SquareMatrix, nullspace_dim
 from braidrep.reps import (
     CLASSIFIED,
@@ -248,6 +249,38 @@ def test_burnside_rejects_symbolic_backend():
     rep = build_rep(spec)
     with pytest.raises(ValueError):
         burnside_oracle(rep)
+
+
+def recorded_ranks(monkeypatch):
+    """Patch RowSpace.insert to append the rank after every call to a list."""
+    ranks = []
+    real = matrices.RowSpace.insert
+
+    def insert(self, row):
+        grew = real(self, row)
+        ranks.append(self.rank)
+        return grew
+
+    monkeypatch.setattr(matrices.RowSpace, "insert", insert)
+    return ranks
+
+
+def test_burnside_stops_at_the_insert_that_reaches_full_rank(monkeypatch):
+    ranks = recorded_ranks(monkeypatch)
+    assert burnside_oracle(build_rep(random_classified_spec(5, random.Random(0)))) is True
+    assert ranks[-1] == 25
+    assert ranks.index(25) == len(ranks) - 1
+
+
+def test_burnside_queues_only_words_that_grew_the_span(monkeypatch):
+    # identity, then two products per queued word; every queued word raised
+    # the rank by one, so a closure that never reaches full rank makes
+    # exactly 1 + 2 * rank inserts
+    ranks = recorded_ranks(monkeypatch)
+    spec = degenerate_classified_spec(5, random.Random(0))
+    assert burnside_oracle(build_rep(spec)) is False
+    assert ranks[-1] < 25
+    assert len(ranks) == 1 + 2 * ranks[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,22 @@ def test_construct_binomial_family(capsys):
     assert json.loads(out)["family"] == "binomial"
 
 
+@pytest.mark.parametrize("spec, fmt, digest", [
+    (["--symbolic"], "json",
+     "6bff248493ba68ffb1ede1a9c39b3abfc0a89f20883fb1b8465885dfa2a7bf97"),
+    (["--symbolic"], "text",
+     "81222668a5ee4bfd0ecc448c2b99ac4d4bb4f12ed8701807438bd23300bb688f"),
+    (["--eig", "2/3", "--eig=-5", "--eig", "7/4"], "json",
+     "83aae4415024caa9de36d30808b7ffec5c10baf991d5661399d9eb78d4f65100"),
+    (["--eig", "2/3", "--eig=-5", "--eig", "7/4"], "text",
+     "c8a1f9cff3beb12797ede2dbc8a7030d86c45197784e2774229e1c3da1446293"),
+])
+def test_construct_dim3_bytes(capsys, spec, fmt, digest):
+    code, out, _ = run_cli(capsys, ["construct", "--dim", "3", *spec, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -273,6 +289,31 @@ def test_classify_symbolic_generic_verdict(capsys):
     report = json.loads(out)
     assert report["simple"] is True
     assert report["vanishing_factors"] == []
+
+
+SIMPLE_DIM5 = ["--dim", "5", "--eig", "1", "--eig", "2", "--eig", "3", "--eig", "4",
+               "--eig", "4/3", "--gamma", "2"]
+NONSIMPLE_DIM4 = ["--dim", "4", "--eig", "1", "--eig", "2", "--eig", "3", "--eig", "1/6",
+                  "--D=-6"]
+
+
+@pytest.mark.parametrize("spec, fmt, exit_code, digest", [
+    (SIMPLE_DIM5, "json", 0,
+     "72a837f3207cb35761447ced9fd7e122e437bd33c9b5ac761f8e8043947a7342"),
+    (SIMPLE_DIM5, "text", 0,
+     "e829726e4f26d3b84922bfd13f7fa22407d34e894034b6f69e21368f0f3c3ec1"),
+    (NONSIMPLE_DIM4, "json", 2,
+     "cc0a731a056f5cb446ed5e8f8b841169fcdf2454119043a2cba5dcb02a93c1da"),
+    (NONSIMPLE_DIM4, "text", 2,
+     "c5460ee645c90dd3f245b11108f40a3d526a70724620c840639e610bdddb9522"),
+])
+def test_classify_with_every_check_bytes(capsys, spec, fmt, exit_code, digest):
+    code, out, _ = run_cli(capsys, [
+        "classify", *spec, "--oracle", "burnside", "--membership", "--certificate",
+        "--format", fmt,
+    ])
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_classify_symbolic_membership_is_an_input_error(capsys):
