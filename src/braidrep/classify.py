@@ -9,7 +9,8 @@ closed forms of Q_rs from a classified RepSpec (q_from_spec, the one place
 that knows how the root parameter enters each dimension), recomputes them
 from the defining matrix identity as an independent route, and cross-checks
 the verdict against a generated-algebra span oracle that knows nothing about
-the closed forms.
+the closed forms (Norton's irreducibility test, with the span of words as
+its fallback).
 
 Every check is exact; nothing here tolerates approximation.
 """
@@ -19,7 +20,7 @@ from itertools import combinations
 import math
 
 from .fields import SymbolicField, root_of_unity
-from .matrices import RowSpace, SquareMatrix, UniPoly, nullspace_dim, vec
+from .matrices import RowSpace, SquareMatrix, UniPoly, nullspace_basis, nullspace_dim, spin, vec
 from .reps import CLASSIFIED, RepSpec, RepSpecError, build_rep, structure_report
 
 
@@ -245,15 +246,76 @@ def is_simple(spec):
 def burnside_oracle(rep):
     """Span oracle: do words in {A, B} span the full matrix ring?
 
-    One FIFO queue of words over an incrementally reduced row space: each
-    queued word is multiplied by A and B on the right, and a product is
-    queued when it enlarges the span.  Every queued word enlarged the span,
-    so at most dim^2 words are queued and the loop ends by construction; it
-    stops as soon as the rank is dim^2.  Specialized backends only.
+    By Burnside's theorem they do exactly when the pair is absolutely
+    irreducible, and Norton's test decides that with orbits of vectors
+    (norton_orbits): when some theta = A - lambda*I has nullity exactly 1,
+    the pair is simple iff the kernel vector of theta spins to the whole
+    space under A and B, and the kernel vector of theta^T does under their
+    transposes.  A proper submodule U either holds the kernel vector of
+    theta, whose orbit then stays in U, or meets ker theta in 0; then theta
+    is injective on U, its kernel on V/U is a line, and the annihilator of
+    U, a proper submodule of the dual, holds the kernel vector of theta^T.
+    The nullity stays 1 over every extension field, so irreducible here
+    means absolutely irreducible.  When no diagonal entry of A gives
+    nullity 1, the word queue (word_span_oracle) decides instead.
+    Specialized backends only.
+    """
+    if isinstance(rep.field, SymbolicField):
+        raise ValueError("the span oracle needs specialized scalars")
+    orbits = norton_orbits(rep)
+    if orbits is None:
+        return word_span_oracle(rep)
+    return all(space.rank == rep.dim for space in orbits)
+
+
+def norton_orbits(rep):
+    """The orbits Norton's test spins, or None when it cannot decide.
+
+    theta = A - lambda*I is tried for lambda over the distinct diagonal
+    entries of A, in order; a nonsingular theta has nullity 0 and is
+    skipped.  At the first theta of nullity exactly 1, the kernel vector of
+    theta is spun under (A, B), then the kernel vector of theta^T under
+    (A^T, B^T), stopping after the first orbit below full rank.  Returns
+    the RowSpaces spun, in that order.  A proper orbit of the first vector
+    is a submodule; one of the second is closed under right multiplication
+    by A and B, so its annihilator is a submodule.
+    """
+    field, d = rep.field, rep.dim
+    a_rows, b_rows = rep.A.rows, rep.B.rows
+    seen = []
+    for lam in (row[i] for i, row in enumerate(a_rows)):
+        if lam in seen:
+            continue
+        seen.append(lam)
+        theta = [
+            [x - lam if j == i else x for j, x in enumerate(row)]
+            for i, row in enumerate(a_rows)
+        ]
+        kernel = nullspace_basis(field, theta, d)
+        if len(kernel) != 1:
+            continue
+        (w,) = nullspace_basis(field, list(zip(*theta)), d)
+        orbits = []
+        transposes = (list(zip(*a_rows)), list(zip(*b_rows)))
+        for start, maps in ((kernel[0], (a_rows, b_rows)), (w, transposes)):
+            orbits.append(spin(field, start, maps))
+            if orbits[-1].rank < d:
+                break
+        return orbits
+    return None
+
+
+def word_span_oracle(rep):
+    """Span of the words in {A, B}, closed by one FIFO queue of words.
+
+    Each queued word is multiplied by A and B on the right over an
+    incrementally reduced row space of width dim^2, and a product is queued
+    when it enlarges the span.  Every queued word enlarged the span, so at
+    most dim^2 words are queued and the loop ends by construction; it stops
+    as soon as the rank is dim^2.  burnside_oracle's fallback, and the test
+    oracle for Norton's route.
     """
     field = rep.field
-    if isinstance(field, SymbolicField):
-        raise ValueError("the span oracle needs specialized scalars")
     d = rep.dim
     target = d * d
     space = RowSpace(field, target)

@@ -74,13 +74,16 @@ def _grlex_key(mono):
 
 
 class LaurentPolynomial:
-    """Sparse Laurent polynomial: {exponent tuple: nonzero Fraction}."""
+    """Sparse Laurent polynomial: {exponent tuple: nonzero coefficient}, an
+    integral coefficient stored as an int and any other as a Fraction."""
 
     __slots__ = ("context", "terms")
 
     def __init__(self, context, terms):
         self.context = context
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {
+            m: c.numerator if c.denominator == 1 else c for m, c in terms.items() if c != 0
+        }
 
     @classmethod
     def const(cls, context, value):
@@ -380,7 +383,7 @@ class RationalField:
     def parse(self, text):
         # over no variables every polynomial is its constant term
         num, den = _parse_rf_string(_NO_VARS, text)
-        return Scalar(self, num.terms.get((), Fraction(0)) / den.terms[()])
+        return Scalar(self, Fraction(num.terms.get((), 0)) / den.terms[()])
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

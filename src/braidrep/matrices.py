@@ -5,12 +5,14 @@ rationals, rational functions, or number fields.  Sizes stay tiny (at most
 8x8), so the algorithms favour exactness and clarity over asymptotics.
 Every elimination (determinants, ranks, nullspaces, inverses, minimal
 polynomials) goes through one kernel, the incremental reduced echelon form
-RowSpace; det reads its pivots off it.  UniPoly calls the polynomial
-kernels of braidrep.fields.
+RowSpace; det reads its pivots off it, and spin grows the orbit of a vector
+under linear maps in it.  UniPoly calls the polynomial kernels of
+braidrep.fields.
 """
 
 from __future__ import annotations
 
+from collections import deque
 import operator
 
 from .fields import BackendMismatch, Scalar, horner, poly_divmod, poly_mul, square_and_multiply
@@ -310,14 +312,36 @@ def nullspace_dim(field, rows, ncols):
     return ncols - RowSpace(field, ncols, rows).rank
 
 
+def spin(field, vector, maps):
+    """Orbit of a nonzero vector under linear maps, each given by its rows.
+
+    One FIFO queue of images: each queued vector is sent through every map
+    by matrix-vector products, and an image is queued when it enlarges the
+    span.  Returns the RowSpace of the orbit; it stops at the insert that
+    reaches full rank.
+    """
+    space = RowSpace(field, len(vector), [vector])
+    queue = deque([vector])
+    while queue and space.rank < space.ncols:
+        v = queue.popleft()
+        for rows in maps:
+            image = [dot(row, v) for row in rows]
+            if space.insert(image):
+                queue.append(image)
+                if space.rank == space.ncols:
+                    break
+    return space
+
+
 class RowSpace:
     """Incrementally maintained row space in reduced echelon form.
 
     The package's one elimination routine: rref, nullspaces, inverses,
     minimal polynomials and number-field inversion all reduce through it.
-    insert() returns True when the vector enlarged the span.  The span-of-words
-    closure inserts one candidate at a time; most are rejected, and the
-    incremental reduction keeps that cheap.
+    insert() returns True when the vector enlarged the span.  The orbit
+    closures (spin, and the span of words in braidrep.classify) insert one
+    candidate at a time; many are rejected, and the incremental reduction
+    keeps that cheap.
     """
 
     __slots__ = ("field", "ncols", "rows", "pivots")

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from braidrep import classify
 from braidrep.classify import (
     burnside_oracle,
     deligne_check,
@@ -23,6 +24,7 @@ from braidrep.classify import (
     q_oracle,
     sl2z_flags,
     westbury_dims,
+    word_span_oracle,
 )
 from braidrep.fields import (
     NumberField,
@@ -30,7 +32,7 @@ from braidrep.fields import (
     cyclotomic_field,
 )
 from braidrep import matrices
-from braidrep.matrices import SquareMatrix, nullspace_dim
+from braidrep.matrices import SquareMatrix, dot, nullspace_basis, nullspace_dim
 from braidrep.reps import (
     CLASSIFIED,
     Rep,
@@ -267,7 +269,7 @@ def recorded_ranks(monkeypatch):
 
 def test_burnside_stops_at_the_insert_that_reaches_full_rank(monkeypatch):
     ranks = recorded_ranks(monkeypatch)
-    assert burnside_oracle(build_rep(random_classified_spec(5, random.Random(0)))) is True
+    assert word_span_oracle(build_rep(random_classified_spec(5, random.Random(0)))) is True
     assert ranks[-1] == 25
     assert ranks.index(25) == len(ranks) - 1
 
@@ -278,9 +280,105 @@ def test_burnside_queues_only_words_that_grew_the_span(monkeypatch):
     # exactly 1 + 2 * rank inserts
     ranks = recorded_ranks(monkeypatch)
     spec = degenerate_classified_spec(5, random.Random(0))
-    assert burnside_oracle(build_rep(spec)) is False
+    assert word_span_oracle(build_rep(spec)) is False
     assert ranks[-1] < 25
     assert len(ranks) == 1 + 2 * ranks[-1]
+
+
+def test_norton_spins_vectors_and_stops_at_full_rank(monkeypatch):
+    # every elimination Norton's route does is on d-vectors, and both
+    # orbits of a simple pair end at the insert that reaches rank d
+    inserts = []
+    real = matrices.RowSpace.insert
+
+    def insert(self, row):
+        grew = real(self, row)
+        inserts.append((self, self.ncols, self.rank))
+        return grew
+
+    monkeypatch.setattr(matrices.RowSpace, "insert", insert)
+    assert burnside_oracle(build_rep(random_classified_spec(5, random.Random(0)))) is True
+    assert {ncols for _, ncols, _ in inserts} == {5}
+    full = [space for space, _, rank in inserts if rank == 5]
+    assert len(full) == 2 and full[0] is not full[1]
+    for space in full:
+        ranks = [rank for s, _, rank in inserts if s is space]
+        assert ranks.index(5) == len(ranks) - 1
+
+
+def test_burnside_falls_back_when_no_nullity_is_one(monkeypatch):
+    # A = I has nullity 2 at its one diagonal entry, so Norton cannot decide
+    calls = []
+    real = classify.word_span_oracle
+    monkeypatch.setattr(classify, "word_span_oracle", lambda rep: calls.append(rep) or real(rep))
+    eye = SquareMatrix.identity(Q, 2)
+    rep = Rep(RepSpec(CLASSIFIED, [Q.one, Q.one]), eye, eye)
+    assert classify.norton_orbits(rep) is None
+    assert burnside_oracle(rep) is False
+    assert calls == [rep]
+    assert burnside_oracle(build_rep(random_classified_spec(3, random.Random(0)))) is True
+    assert calls == [rep]
+
+
+def criterion_04_specs():
+    """The instances of acceptance criterion 04, in its order and seeds."""
+    for d in (2, 3, 4, 5):
+        rng = random.Random(400 + d)
+        specs = [random_classified_spec(d, rng) for _ in range(180)]
+        specs += [degenerate_classified_spec(d, rng) for _ in range(20)]
+        yield from specs
+
+
+def number_field_specs():
+    """Seeded instances over Q(zeta_3), d = 2..5, all three samplers, and
+    over Q(zeta_5), d = 3..5, the random and central-unit samplers."""
+    plan = (
+        (3, (2, 3, 4, 5), (random_classified_spec, degenerate_classified_spec, central_unit_spec)),
+        (5, (3, 4, 5), (random_classified_spec, central_unit_spec)),
+    )
+    for n, dims, samplers in plan:
+        field = cyclotomic_field(n)
+        for d in dims:
+            rng = random.Random(100 * n + d)
+            for sampler in samplers:
+                for _ in range(3 if n == 3 else 2):
+                    yield sampler(d, rng, field=field)
+
+
+def test_norton_agrees_with_the_word_queue_on_every_sampled_instance():
+    for spec in [*criterion_04_specs(), *number_field_specs()]:
+        rep = build_rep(spec)
+        assert classify.norton_orbits(rep) is not None
+        assert burnside_oracle(rep) == word_span_oracle(rep), spec.eigenvalues
+
+
+def closed_under(space, maps):
+    return all(space.contains([dot(row, v) for row in m]) for v in space.rows for m in maps)
+
+
+def test_norton_witness_is_an_invariant_subspace():
+    # a proper orbit of the kernel vector of theta is a submodule; a proper
+    # orbit of the kernel vector of theta^T (a row vector under right
+    # multiplication) has a submodule as its annihilator
+    nonsimple = 0
+    for spec in criterion_04_specs():
+        if is_simple(spec).simple:
+            continue
+        nonsimple += 1
+        rep = build_rep(spec)
+        field, d, a, b = rep.field, rep.dim, rep.A.rows, rep.B.rows
+        orbits = classify.norton_orbits(rep)
+        witness = orbits[-1]
+        assert 1 <= witness.rank <= d - 1
+        if len(orbits) == 1:
+            assert closed_under(witness, (a, b))
+        else:
+            assert orbits[0].rank == d
+            assert closed_under(witness, (list(zip(*a)), list(zip(*b))))
+            annihilator = matrices.RowSpace(field, d, nullspace_basis(field, witness.rows, d))
+            assert 1 <= annihilator.rank <= d - 1
+            assert closed_under(annihilator, (a, b))
+    assert nonsimple >= 80
 
 
 # ---------------------------------------------------------------------------

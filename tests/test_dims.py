@@ -7,6 +7,7 @@ what is off.  These tests freeze the observed agreement pattern and the
 exact corrected expressions the route produces.
 """
 
+from fractions import Fraction
 import hashlib
 import json
 import random
@@ -190,6 +191,20 @@ def exceptional_spec(ctx):
         [u ** 12, -(u ** 6), -ctx.field.one, w ** 2, u ** 2 * w ** -2],
         root_param=u ** 4,
     )
+
+
+def test_route_table_coefficients_are_exact():
+    # no int / int division reaches a coefficient as a float on either series
+    bcd = bcd_context()
+    specs = [
+        RepSpec(CLASSIFIED, [bcd.weight ** -1, -(bcd.base ** -1), bcd.base]),
+        exceptional_spec(exceptional_context()),
+    ]
+    for spec in specs:
+        p, q1 = route_table(spec)
+        for value in [*p.values(), *q1.values()]:
+            for poly in value.value:
+                assert all(type(c) in (int, Fraction) for c in poly.terms.values())
 
 
 @pytest.fixture(scope="module")

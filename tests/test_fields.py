@@ -240,6 +240,22 @@ def test_rational_parse_values():
         assert q.parse(text) == value, text
 
 
+def test_rational_parse_divides_exactly():
+    # Laurent coefficients are stored as ints when integral, so the
+    # quotient of two constant terms must not be an int / int float
+    q = RationalField()
+    half = q.parse("(3)/(2)").value
+    assert half == Fraction(3, 2) and type(half) is Fraction
+    assert type(q.parse("7").value) is Fraction
+
+
+def test_laurent_coefficients_are_ints_when_integral():
+    field = SymbolicField(VarContext(("x",)))
+    num, _ = field.parse("3/2*x^2+4/2*x-5").value
+    assert {type(c) for c in num.terms.values()} == {Fraction, int}
+    assert num.terms[(1,)] == 2 and type(num.terms[(1,)]) is int
+
+
 @pytest.mark.parametrize("text", [
     "", "   ", "1.5", "x", "3 4", "3/-4", "3/4/5", "2^3", "3 /", "(3)", "1/2)",
 ])
