@@ -155,8 +155,11 @@ def cmd_construct(args):
 
 def _read_rep(args):
     if args.file:
-        with open(args.file) as handle:
-            text = handle.read()
+        try:
+            with open(args.file) as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise CLIError("cannot read %s: %s" % (args.file, exc.strerror or exc))
     else:
         text = sys.stdin.read()
     try:

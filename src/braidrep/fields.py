@@ -15,6 +15,13 @@ Every univariate-polynomial loop is one of three kernels on ascending
 coefficient sequences: poly_mul (schoolbook product), poly_divmod (division
 by a unit-led divisor) and horner (evaluation at a scalar, or at a matrix
 when the coefficients are scalar matrices).
+
+A Laurent product takes one of two routes, chosen by input size alone.  With
+n1*n2 term pairs at least DENSE_MIN_PAIRS and a dense exponent box (per
+variable, the sum of the operands' exponent ranges plus one) of at most n1*n2
+cells, kronecker_mul packs each operand into one int and lets a single int
+product form every coefficient (Kronecker substitution).  Every other product,
+and the tests' reference for the dense one, is sparse_mul, the term-pair loop.
 """
 
 from dataclasses import dataclass
@@ -124,16 +131,13 @@ class LaurentPolynomial:
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, 0) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return LaurentPolynomial(self.context, out)
+        pairs = len(self.terms) * len(other.terms)
+        if pairs >= DENSE_MIN_PAIRS:
+            # the cheap length test first: small products never size a box
+            out = kronecker_mul(self.terms, other.terms, pairs)
+            if out is not None:
+                return LaurentPolynomial(self.context, out)
+        return LaurentPolynomial(self.context, sparse_mul(self.terms, other.terms))
 
     def scale(self, value):
         value = Fraction(value)
@@ -152,7 +156,7 @@ class LaurentPolynomial:
     def leading_coeff(self):
         if not self.terms:
             return Fraction(0)
-        return self.sorted_terms()[0][1]
+        return max(self.terms.items(), key=lambda mc: _grlex_key(mc[0]))[1]
 
     def content(self):
         """(signed content, monomial content): sign of the leading coefficient times
@@ -200,6 +204,107 @@ class LaurentPolynomial:
 
     def __repr__(self):
         return "LaurentPolynomial(%s)" % self.render()
+
+
+# fewest term pairs n1*n2 for which a Laurent product tries the dense route
+DENSE_MIN_PAIRS = 256
+
+
+def sparse_mul(a, b):
+    """Product of two {exponent tuple: coefficient} dicts, term pair by term pair."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            s = out.get(m, 0) + c1 * c2
+            if s == 0:
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return out
+
+
+def kronecker_mul(a, b, max_cells):
+    """Product of two {exponent tuple: coefficient} dicts by Kronecker
+    substitution, or None when the product's dense exponent box has more than
+    max_cells cells.
+
+    The box spans, per variable, the sum of the operands' exponent ranges.
+    Each operand, scaled to integers by the lcm of its denominators, becomes
+    one int with a k-bit slot per box cell, so one int product forms every
+    coefficient at once.  A slot sums at most min(n1, n2) term products, and
+    k leaves a bit above the largest such sum: adding 2^(k-1) to every slot
+    makes each one nonnegative, so no slot borrows from the next, and flipping
+    that bit back leaves each coefficient in k-bit two's complement.
+    """
+    if not a or not b:
+        return {}
+    nvars = len(next(iter(a)))
+    lows_a, lows_b, sizes = [], [], []
+    cells = 1
+    for i in range(nvars):
+        lo_a, hi_a = min(m[i] for m in a), max(m[i] for m in a)
+        lo_b, hi_b = min(m[i] for m in b), max(m[i] for m in b)
+        lows_a.append(lo_a)
+        lows_b.append(lo_b)
+        sizes.append(hi_a - lo_a + hi_b - lo_b + 1)
+        cells *= sizes[-1]
+    if cells > max_cells:
+        return None
+    ints_a, scale_a = _cell_integers(a, lows_a, sizes)
+    ints_b, scale_b = _cell_integers(b, lows_b, sizes)
+    bound = (max(map(abs, ints_a.values())) * max(map(abs, ints_b.values()))
+             * min(len(a), len(b)))
+    width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * cells, "little")
+    packed = (_pack(ints_a, width, cells) * _pack(ints_b, width, cells) + bias) ^ bias
+    data = packed.to_bytes(width * cells, "little")
+    den = scale_a * scale_b
+    lows = [x + y for x, y in zip(lows_a, lows_b)]
+    out = {}
+    cell = -1
+    # a zero coefficient is an all-zero slot; a run of nonzero bytes touches
+    # only nonzero slots, and two runs may share one
+    for run in _NONZERO_BYTES.finditer(data):
+        for cell in range(max(cell + 1, run.start() // width), (run.end() - 1) // width + 1):
+            c = int.from_bytes(data[cell * width:(cell + 1) * width], "little", signed=True)
+            mono = []
+            rest = cell
+            for lo, size in zip(lows, sizes):
+                rest, offset = divmod(rest, size)
+                mono.append(lo + offset)
+            out[tuple(mono)] = c if den == 1 else Fraction(c, den)
+    return out
+
+
+_NONZERO_BYTES = re.compile(rb"[^\x00]+")
+
+
+def _cell_integers(terms, lows, sizes):
+    """({box cell: integer coefficient}, scale) for terms times scale, the lcm
+    of their denominators; a cell counts the first variable fastest."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    out = {}
+    for mono, c in terms.items():
+        cell, stride = 0, 1
+        for e, lo, size in zip(mono, lows, sizes):
+            cell += (e - lo) * stride
+            stride *= size
+        out[cell] = c.numerator * (scale // c.denominator)
+    return out, scale
+
+
+def _pack(ints, width, cells):
+    """The int whose width-byte little-endian slot i holds ints.get(i, 0)."""
+    pos = bytearray(width * cells)
+    neg = bytearray(width * cells)
+    for cell, c in ints.items():
+        start = cell * width
+        if c > 0:
+            pos[start:start + width] = c.to_bytes(width, "little")
+        else:
+            neg[start:start + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _render_fraction(c):
@@ -560,13 +665,23 @@ class NumberField:
 
     def parse(self, text):
         num, den = _parse_rf_string(self.context, text)
-        value = self.element(_coefficients(num))
+        value = self._from_poly(num)
         if not den.is_one():
-            den = self.element(_coefficients(den))
+            den = self._from_poly(den)
             if den.is_zero():
                 raise ParseError("denominator is zero modulo %s" % self.modulus_render())
             value = value / den
         return value
+
+    def _from_poly(self, p):
+        """The element of a polynomial in the generator, each term c*gen^e
+        reduced by square-and-multiply, so a huge e costs log(e) products."""
+        _refuse_negative_powers(p)
+        gen = self.gen
+        return sum(
+            (square_and_multiply(gen, e, self.const(c)) for (e,), c in p.terms.items()),
+            self.zero,
+        )
 
     def modulus_render(self):
         return self._render(self.modulus)
@@ -596,12 +711,16 @@ class NumberField:
 def _coefficients(p):
     """Ascending coefficient list of a univariate polynomial; negative powers
     are refused."""
-    if any(e < 0 for (e,) in p.terms):
-        raise ParseError("negative powers of the generator are not supported")
+    _refuse_negative_powers(p)
     coeffs = [Fraction(0)] * (max((e for (e,) in p.terms), default=0) + 1)
     for (e,), c in p.terms.items():
         coeffs[e] = c
     return coeffs
+
+
+def _refuse_negative_powers(p):
+    if any(e < 0 for (e,) in p.terms):
+        raise ParseError("negative powers of the generator are not supported")
 
 
 def _splits(modulus):

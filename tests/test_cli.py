@@ -199,6 +199,14 @@ def test_verify_rejects_malformed_json(capsys, monkeypatch):
     assert "cannot parse" in err
 
 
+def test_verify_missing_file_is_an_input_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, ["verify", "--file", missing])
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot read %s: No such file or directory\n" % missing
+
+
 def test_verify_braid_only_partial_report(capsys, monkeypatch):
     _, out, _ = run_cli(capsys, ["construct", "--dim", "3", "--symbolic"])
     code, out, _ = run_cli(

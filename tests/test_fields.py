@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 import random
+import time
 
 import pytest
 
+from braidrep import dims, fields
 from braidrep.fields import (
     BackendMismatch,
+    LaurentPolynomial,
     NumberField,
     ParseError,
     RationalField,
@@ -15,6 +18,8 @@ from braidrep.fields import (
     VarContext,
     ZeroDivisorError,
     cyclotomic_field,
+    kronecker_mul,
+    sparse_mul,
     specialize,
 )
 
@@ -330,3 +335,137 @@ def test_specialize_rejects_wrong_target_scalars():
     k = cyclotomic_field(6)
     with pytest.raises(BackendMismatch):
         specialize(f.var("x"), {"x": k.gen}, q)
+
+
+def test_numberfield_parse_reduces_huge_powers():
+    k = NumberField.from_modulus_string("z^2+1")
+    start = time.perf_counter()
+    assert k.parse("z^10000000") == k.one
+    assert k.parse("(1)/(z^10000001)") == -k.gen
+    assert time.perf_counter() - start < 1.0
+    # reduction term by term keeps the value of a plain polynomial
+    assert k.parse("3*z^3-1/2*z+7") == k.element([7, Fraction(-7, 2)])
+    with pytest.raises(ParseError, match="negative powers"):
+        k.parse("z^-1")
+
+
+def test_leading_coeff_is_the_first_rendered_term():
+    field = SymbolicField(VarContext(("x", "y")))
+    rng = random.Random(404)
+    for _ in range(100):
+        num, _ = random_rf(field, rng).value
+        assert num.leading_coeff() == num.sorted_terms()[0][1]
+
+
+# ---------------------------------------------------------------------------
+# Laurent products: the dense route (Kronecker substitution) against the
+# sparse term-pair loop
+
+# any box fits: the routes are compared, not chosen
+ANY_BOX = 10 ** 9
+
+
+def test_kronecker_mul_matches_sparse_mul():
+    # hypothesis draws derandomized, so every run checks the same samples
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficients = st.one_of(
+        st.integers(-(2 ** 130), 2 ** 130),
+        st.builds(
+            Fraction,
+            st.integers(-(10 ** 40), 10 ** 40),
+            st.sampled_from([3, 2 ** 64 + 13, 10 ** 30 + 7]),
+        ),
+    )
+
+    def term_dicts(nvars):
+        ctx = VarContext(("x", "y", "z")[:nvars])
+        monos = st.tuples(*[st.integers(-4, 4)] * nvars)
+        return st.dictionaries(monos, coefficients, max_size=12).map(
+            lambda terms: LaurentPolynomial(ctx, terms).terms
+        )
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @hypothesis.given(st.integers(1, 3).flatmap(lambda n: st.tuples(term_dicts(n), term_dicts(n))))
+    def check(pair):
+        a, b = pair
+        assert kronecker_mul(a, b, ANY_BOX) == sparse_mul(a, b)
+
+    check()
+
+
+def grid(ctx, coeff, spans):
+    """Every monomial with exponents in the given per-variable ranges, times coeff."""
+    monos = [()]
+    for lo, hi in spans:
+        monos = [m + (e,) for m in monos for e in range(lo, hi + 1)]
+    return LaurentPolynomial(ctx, {m: coeff(m) for m in monos})
+
+
+def test_kronecker_mul_edge_operands():
+    ctx = VarContext(("x", "y"))
+    dense = grid(ctx, lambda m: (-1) ** (sum(m) % 2) * (3 ** 70 + sum(m)), [(-6, 5), (-3, 4)])
+    big_den = grid(ctx, lambda m: Fraction(m[0] - 2 ** 90, 2 ** 64 + 13 + m[1] % 2),
+                   [(-2, 9), (0, 3)])
+    one_term = LaurentPolynomial(ctx, {(-7, 2): Fraction(-5, 3)})
+    zero = LaurentPolynomial(ctx, {})
+    for a in (dense, big_den, one_term, zero):
+        for b in (dense, big_den, one_term, zero):
+            assert kronecker_mul(a.terms, b.terms, ANY_BOX) == sparse_mul(a.terms, b.terms)
+    assert kronecker_mul(zero.terms, dense.terms, ANY_BOX) == {}
+
+
+def test_laurent_mul_takes_the_dense_route_by_size(monkeypatch):
+    ctx = VarContext(("x", "y"))
+    # (sum of x^i y^j over 0 <= i, j < 16) * (1 - x)(1 - y) = (1 - x^16)(1 - y^16):
+    # 256 * 4 term pairs in a 17 x 17 box, nearly all of it cancelling
+    square = grid(ctx, lambda m: 1, [(0, 15), (0, 15)])
+    factor = LaurentPolynomial(ctx, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+    expected = {(0, 0): 1, (16, 0): -1, (0, 16): -1, (16, 16): 1}
+    # 256 pairs spread over a 1501 x 1501 box stay on the sparse loop
+    spread_x = LaurentPolynomial(ctx, {(100 * i, 0): i + 1 for i in range(16)})
+    spread_y = LaurentPolynomial(ctx, {(0, 100 * j): j - 20 for j in range(16)})
+    small = LaurentPolynomial(ctx, {(0, 0): 2, (1, -1): 3})
+
+    routes = []
+    real_sparse, real_dense = fields.sparse_mul, fields.kronecker_mul
+
+    def sparse(a, b):
+        routes.append("sparse")
+        return real_sparse(a, b)
+
+    def dense(a, b, max_cells):
+        out = real_dense(a, b, max_cells)
+        routes.append("box" if out is None else "dense")
+        return out
+
+    monkeypatch.setattr(fields, "sparse_mul", sparse)
+    monkeypatch.setattr(fields, "kronecker_mul", dense)
+    assert (square * factor).terms == expected
+    assert routes == ["dense"]
+    routes.clear()
+    product = spread_x * spread_y
+    assert routes == ["box", "sparse"]
+    assert product.terms == real_sparse(spread_x.terms, spread_y.terms)
+    routes.clear()
+    small * small
+    assert routes == ["sparse"]
+
+
+def test_exceptional_route_products_agree_on_both_routes(monkeypatch):
+    operands = []
+    real_dense = fields.kronecker_mul
+
+    def recording(a, b, max_cells):
+        out = real_dense(a, b, max_cells)
+        if out is not None:
+            operands.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(fields, "kronecker_mul", recording)
+    dims.verify_series("exceptional")
+    # the partition check, the catalog equalities and route forming
+    assert len(operands) == 32
+    assert max(max(len(a), len(b)) for a, b, _ in operands) == 1773
+    for a, b, out in operands:
+        assert out == sparse_mul(a, b)
