@@ -5,12 +5,12 @@ polynomials in the eigenvalues (and root parameter) vanishes.  The criterion
 lives in the Q scalars: for each index pair r != s, the triple product
 P_r(A) P_s(B) P_r(A) is a scalar multiple Q_rs of the rank-one matrix P_r(A),
 and the pair is simple iff every Q_rs is nonzero.  This module evaluates the
-closed forms of Q_rs from a classified RepSpec (q_from_spec, the one place
-that knows how the root parameter enters each dimension), recomputes them
-from the defining matrix identity as an independent route, and cross-checks
-the verdict against a generated-algebra span oracle that knows nothing about
-the closed forms (Norton's irreducibility test, with the span of words as
-its fallback).
+closed forms of Q_rs and of the central scalar from a classified RepSpec
+(q_from_spec and delta_from_spec, which read the root parameter through one
+bridge, _root_square), recomputes Q_rs from the defining matrix identity as
+an independent route, and cross-checks the verdict against a
+generated-algebra span oracle that knows nothing about the closed forms
+(Norton's irreducibility test, with the span of words as its fallback).
 
 Every check is exact; nothing here tolerates approximation.
 """
@@ -21,7 +21,7 @@ import math
 
 from .fields import SymbolicField, root_of_unity
 from .matrices import RowSpace, SquareMatrix, UniPoly, nullspace_basis, nullspace_dim, spin, vec
-from .reps import CLASSIFIED, RepSpec, RepSpecError, build_rep, structure_report
+from .reps import CLASSIFIED, RepSpecError, structure_report
 
 
 def p_poly(r, eigenvalues):
@@ -38,11 +38,23 @@ def p_poly(r, eigenvalues):
     return math.prod(linear[: r - 1] + linear[r:], start=UniPoly(field, [field.one]))
 
 
+def _root_square(spec):
+    """The squared root g^2 of the closed forms: the bridge l2*l3/D in
+    dimension 4, gamma^2 in dimension 5.
+
+    The one place that knows how the root parameter enters: dimension 4
+    only through this bridge, dimension 5 through gamma and its square.
+    """
+    if spec.dim == 4:
+        return spec.eigenvalues[1] * spec.eigenvalues[2] / spec.root_param
+    return spec.root_param ** 2
+
+
 def q_from_spec(spec, r, s):
     """Closed form of the Q scalar of a classified spec for an index pair r != s.
 
-    The root parameter enters dimension 4 only through the bridge l2*l3/D,
-    the square of its pair product, and dimension 5 as the fifth root itself.
+    The root parameter enters through _root_square, and in dimension 5 also
+    as the fifth root itself.
     """
     if spec.family != CLASSIFIED:
         raise RepSpecError("Q scalars apply to the classified family")
@@ -60,7 +72,7 @@ def q_from_spec(spec, r, s):
         lk = lam[k]
         return (lr ** 2 + ls * lk) * (ls ** 2 + lr * lk)
     if d == 4:
-        g2 = lam[2] * lam[3] / spec.root_param
+        g2 = _root_square(spec)
         k, l = sorted({1, 2, 3, 4} - {r, s})
         lk, ll = lam[k], lam[l]
         return (
@@ -69,7 +81,7 @@ def q_from_spec(spec, r, s):
             * (g2 + lr * lk + ls * ll) * (g2 + lr * ll + ls * lk)
         )
     g = spec.root_param
-    g2 = g ** 2
+    g2 = _root_square(spec)
     out = g ** -8
     out = out * (g2 + lr * g + lr ** 2) * (g2 + ls * g + ls ** 2)
     for k in range(1, 6):
@@ -77,6 +89,25 @@ def q_from_spec(spec, r, s):
             continue
         out = out * (g2 + lr * lam[k]) * (g2 + ls * lam[k])
     return out
+
+
+def delta_from_spec(spec):
+    """Closed form of the central scalar delta of a classified spec.
+
+    (ABA)^2 = delta * I with delta = -(l1*l2)^3 for d=2, (l1*l2*l3)^2 for
+    d=3, -(l2*l3/D)^3 for d=4 and gamma^6 for d=5: one monomial in the
+    spec's parameters, with delta^d = det(A)^6.
+    """
+    if spec.family != CLASSIFIED:
+        raise RepSpecError("the central scalar closed form applies to the classified family")
+    d = spec.dim
+    if d == 2:
+        l1, l2 = spec.eigenvalues
+        return -((l1 * l2) ** 3)
+    if d == 3:
+        return spec.eigenvalue_product() ** 2
+    cube = _root_square(spec) ** 3
+    return -cube if d == 4 else cube
 
 
 def q_oracle(rep, r, s):
@@ -154,7 +185,7 @@ def obstruction_generators(spec):
             ))
         return out
     if d == 4:
-        g2 = lam[2] * lam[3] / spec.root_param
+        g2 = _root_square(spec)
         for i in range(1, 5):
             out.append(Obstruction(
                 "l%d^2+g^2" % i, [i], lam[i] ** 2 + g2,
@@ -166,7 +197,7 @@ def obstruction_generators(spec):
             ))
         return out
     g = spec.root_param
-    g2 = g ** 2
+    g2 = _root_square(spec)
     for i in range(1, 6):
         out.append(Obstruction(
             "g^2+g*l%d+l%d^2" % (i, i), [i],
@@ -359,18 +390,17 @@ def hom_space_dim(rep1, rep2):
 def sl2z_flags(spec):
     """Whether the pair factors through the modular group or its quotient.
 
-    The central scalar delta is read from the structure report; the pair
-    descends to SL(2,Z) iff delta^2 = 1 and to PSL(2,Z) iff delta = 1.
-    Symbolic specs are rejected: equality with 1 is not decidable for free
-    parameters.
+    The central scalar delta is read off the spec by its closed form
+    (delta_from_spec), with no matrix built; the pair descends to SL(2,Z)
+    iff delta^2 = 1 and to PSL(2,Z) iff delta = 1.  Symbolic specs are
+    rejected: equality with 1 is not decidable for free parameters.
     """
     if isinstance(spec.field, SymbolicField):
         raise ValueError(
             "modular-group flags need specialized scalars; "
             "delta = 1 is undecidable with free parameters"
         )
-    rep = build_rep(spec)
-    delta = structure_report(rep).delta
+    delta = delta_from_spec(spec)
     one = spec.field.one
     return (delta * delta == one, delta == one)
 

@@ -164,6 +164,8 @@ def _read_rep(args):
         text = sys.stdin.read()
     try:
         return rep_from_json(text)
+    except ZeroDivisorError:
+        raise  # a reducible modulus is bad input, reported as such
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CLIError("cannot parse representation JSON: %s" % exc)
 

@@ -58,6 +58,7 @@ class RepSpec:
             if lam.is_zero():
                 raise RepSpecError("zero eigenvalue")
         d = len(eigenvalues)
+        det = math.prod(eigenvalues[1:], start=eigenvalues[0])  # det(A)
         if family == CLASSIFIED:
             if not 2 <= d <= 5:
                 raise RepSpecError(f"classified family needs 2..5 eigenvalues, got {d}")
@@ -74,7 +75,7 @@ class RepSpec:
                     if root_param ** 2 != l2 * l3 / (l1 * l4):
                         raise RepSpecError("root parameter squared must equal l2*l3/(l1*l4)")
                 else:
-                    if root_param ** 5 != math.prod(eigenvalues[1:], start=eigenvalues[0]):
+                    if root_param ** 5 != det:
                         raise RepSpecError("root parameter to the 5th must equal the eigenvalue product")
         elif family == BINOMIAL:
             if not 2 <= d <= 8:
@@ -87,6 +88,9 @@ class RepSpec:
                     raise RepSpecError("opposite parameters must have constant product")
         else:
             raise RepSpecError(f"unknown family {family!r}")
+        # every family inverts det(A); under a reducible modulus a zero
+        # divisor among the eigenvalues raises ZeroDivisorError here
+        det.inv()
         self.family = family
         self.dim = d
         self.field = field

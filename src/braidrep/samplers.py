@@ -77,9 +77,8 @@ def degenerate_classified_spec(d, rng, field=None, bound=10):
 def central_unit_spec(d, rng, field=None, bound=10):
     """Spec whose central scalar is 1.
 
-    The central scalar is -(l1*l2)^3 for d=2, (l1*l2*l3)^2 for d=3,
-    -(l2*l3/D)^3 for d=4 and gamma^6 for d=5; each case pins one parameter so
-    the scalar collapses to 1.
+    Each case pins one parameter so that the closed form of the central
+    scalar, classify.delta_from_spec, collapses to 1.
     """
     if field is None:
         field = RationalField()

@@ -15,6 +15,7 @@ from braidrep import classify
 from braidrep.classify import (
     burnside_oracle,
     deligne_check,
+    delta_from_spec,
     hom_space_dim,
     is_simple,
     obstruction_generators,
@@ -37,6 +38,8 @@ from braidrep.reps import (
     CLASSIFIED,
     Rep,
     RepSpec,
+    RepSpecError,
+    build_binomial_rep,
     build_rep,
     rescale_basis,
     structure_report,
@@ -434,6 +437,28 @@ def test_sl2z_flags_on_central_unit_sampler():
         for _ in range(3):
             spec = central_unit_spec(d, rng, bound=5)
             assert sl2z_flags(spec) == (True, True)
+
+
+def test_delta_closed_form_matches_the_structure_report_on_every_sampled_instance():
+    specs = [*criterion_04_specs(), *number_field_specs()]
+    assert len(specs) == 848
+    for spec in specs:
+        assert delta_from_spec(spec) == structure_report(build_rep(spec)).delta, spec.eigenvalues
+
+
+def test_sl2z_flags_form_no_matrix_product(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("sl2z_flags reads delta off the spec")
+
+    monkeypatch.setattr(SquareMatrix, "__mul__", no_product)
+    test_sl2z_flags_frozen_examples()
+    test_sl2z_flags_on_central_unit_sampler()
+
+
+def test_delta_from_spec_rejects_binomial_spec():
+    rep = build_binomial_rep(3, [Q.one, Q.const(2), Q.const(4)])
+    with pytest.raises(RepSpecError):
+        delta_from_spec(rep.spec)
 
 
 def test_sl2z_flags_reject_symbolic_backend():

@@ -81,9 +81,9 @@ def test_reducible_modulus_is_an_input_error(capsys):
     assert "reducible" in err
 
 
-# (z^2+1)(z^3+2): a quintic modulus is trusted, and reaching an inversion of
-# the zero divisor z^2+1 ends the run, through the span oracle or through the
-# determinant that the membership flags read
+# (z^2+1)(z^3+2): a quintic modulus is trusted, and the spec boundary ends
+# the run whatever flags follow, since RepSpec inverts the eigenvalue product
+# and z^2+1 is a zero divisor
 QUINTIC = ["--modulus", "z^5+z^3+2*z^2+2", "--eig", "z^2+1", "--eig", "1"]
 
 
@@ -91,9 +91,10 @@ QUINTIC = ["--modulus", "z^5+z^3+2*z^2+2", "--eig", "z^2+1", "--eig", "1"]
     ["--dim", "2", "--modulus", "z^3-1", "--eig", "z", "--eig", "1"],
     ["--dim", "2", "--modulus", "z^4+3*z^2+2", "--eig", "z^2+1", "--eig", "1",
      "--oracle", "burnside"],
+    ["--dim", "2", *QUINTIC],
     ["--dim", "2", *QUINTIC, "--oracle", "burnside"],
     ["--dim", "3", *QUINTIC, "--eig", "2", "--membership"],
-], ids=["cubic", "quartic", "quintic-oracle", "quintic-membership"])
+], ids=["cubic", "quartic", "quintic-plain", "quintic-oracle", "quintic-membership"])
 def test_reducible_higher_degree_modulus_is_an_input_error(argv):
     result = subprocess.run(
         [sys.executable, "-m", "braidrep", "classify", *argv],
@@ -183,7 +184,8 @@ def test_verify_reports_missing_structure(capsys, monkeypatch):
 
 
 def test_verify_zero_divisor_is_an_input_error(capsys, monkeypatch):
-    # (ABA)^2 = (z^2+1)^6 I, so the determinant is reached and meets z^2+1
+    # the eigenvalue product -(z^2+1)^2 is a zero divisor; reading the spec
+    # refuses it before any matrix is formed
     text = hand_written_pair(["z^2+1", "-z^2-1"], modulus="z^5+z^3+2*z^2+2")
     code, out, err = run_cli(capsys, ["verify"], stdin_text=text, monkeypatch=monkeypatch)
     assert code == 1

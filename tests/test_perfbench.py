@@ -13,6 +13,7 @@ from braidrep import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 SCAN_REFERENCE = PERFBENCH / "scan_reference.json"
+REFERENCE = json.loads(SCAN_REFERENCE.read_text())
 
 
 def test_traced_names_resolve():
@@ -29,14 +30,14 @@ def test_traced_names_resolve():
             assert callable(getattr(module, attr)), (mod_name, attr)
 
 
-@pytest.mark.parametrize("entry", ["random:1000", "degenerate:2000", "central:3000"])
+@pytest.mark.parametrize("entry", list(REFERENCE["csv"]))
 def test_scan_matches_recorded_reference(entry, capsys):
     # the benchmark checks every scan row against this file byte for byte; a
-    # change in the samplers' draw order would otherwise show only there
-    reference = json.loads(SCAN_REFERENCE.read_text())
+    # change in the samplers' draw order or in any CSV cell (the sl2z/psl2z
+    # flags included) would otherwise show only there
     kind, seed = entry.split(":")
-    rows = {name: count for name, count, _ in reference["kinds"]}[kind]
-    argv = ["scan", "--dim", str(reference["dim"]), "--count", str(rows),
+    rows = {name: count for name, count, _ in REFERENCE["kinds"]}[kind]
+    argv = ["scan", "--dim", str(REFERENCE["dim"]), "--count", str(rows),
             "--seed", seed, "--kind", kind, "--oracle", "burnside"]
     assert cli.main(argv) == 0
-    assert capsys.readouterr().out == reference["csv"][entry] + "\n"
+    assert capsys.readouterr().out == REFERENCE["csv"][entry] + "\n"

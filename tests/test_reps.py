@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from braidrep.classify import delta_from_spec
 from braidrep.fields import RationalField, SymbolicField, VarContext, cyclotomic_field
 from braidrep.matrices import SquareMatrix
 from braidrep.reps import (
@@ -56,7 +57,13 @@ def test_triangular_check_rejects_mismatch():
 
 
 class TestStructureSymbolic:
-    """Frozen structural values for the four symbolic builds."""
+    """Frozen structural values for the four symbolic builds.
+
+    Each also equates the report's delta with delta_from_spec.  The identity
+    holds in the generic Laurent ring, and build_rep divides only by
+    monomials in the parameters, which RepSpec keeps invertible; so it holds on
+    every specialization, and these four checks prove the closed form.
+    """
 
     def test_dim2(self):
         field, spec = symbolic_classified_spec(2)
@@ -67,6 +74,7 @@ class TestStructureSymbolic:
         assert r.b_symmetry_ok and r.corner_ok and r.delta_power_ok
         assert r.sigma == l1 ** 2 * l2
         assert r.delta == -((l1 * l2) ** 3)
+        assert r.delta == delta_from_spec(spec)
         assert r.sign_pattern_ok is True
         # the printed normalization absorbs a square root: per-entry symmetry fails
         assert r.strict_symmetry is False
@@ -79,6 +87,7 @@ class TestStructureSymbolic:
         assert r.all_ok()
         assert r.sigma == prod
         assert r.delta == prod ** 2
+        assert r.delta == delta_from_spec(spec)
         assert r.strict_symmetry is True
 
     def test_dim4(self):
@@ -88,6 +97,7 @@ class TestStructureSymbolic:
         gsq = field.var("l2") * field.var("l3") / field.var("D")
         assert r.all_ok()
         assert r.delta == -(gsq ** 3)
+        assert r.delta == delta_from_spec(spec)
         assert r.strict_symmetry is False
         assert r.sign_pattern_ok is True
 
@@ -99,6 +109,7 @@ class TestStructureSymbolic:
         assert r.all_ok()
         assert r.sigma == g ** 3
         assert r.delta == g ** 6
+        assert r.delta == delta_from_spec(spec)
         assert r.strict_symmetry is True
 
 
