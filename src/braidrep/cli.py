@@ -299,6 +299,9 @@ def cmd_dims(args):
         print("sign_flip: %s" % _plain(convention["sign_flip"]))
         for item in payload:
             print("%s: equal=%s" % (item["summand"], _plain(item["equal"])))
+    for report in reports:
+        if not report.equal:
+            print("mismatch: %s" % report.mismatch(), file=sys.stderr)
     return OK if all(item["equal"] for item in payload) else CHECK_FAILED
 
 

@@ -13,8 +13,18 @@ summand dimensions read that table.  Both series then run one pipeline:
 one partition check, read off the table, that the route's dimensions,
 trivial included, add to (dim Z)^2, and one comparison with a catalog
 of closed bracket formulas, reporting exact equality per summand.
+
+Each series is evaluated twice by the same code.  Over SymbolicField its
+values are expanded, and the reports render them.  Over FactoredField
+(braidrep.factored) every table entry, route and catalog value is a unit
+times a monomial times cyclotomic factors of binomials, and these values
+decide every check: a catalog equality or the sign-flip test compares
+exponent maps and expands nothing, and the partition check expands only
+what the terms of its sums do not share.  A summand whose catalog entry
+disagrees is explained by the atoms of catalog/route (DimReport.mismatch).
 """
 
+from collections import namedtuple
 import math
 
 from .classify import q_from_spec
@@ -29,28 +39,34 @@ class BracketContext:
     exceptional series is naturally written in the squares s = base^2,
     t = weight^2 with half-integer exponents; generating the ring at the
     square-root level keeps every bracket Laurent, and all results are
-    even in (base, weight) so the root choices never matter.
+    even in (base, weight) so the root choices never matter.  The ring is
+    the fraction field of the given backend: SymbolicField expands and
+    renders, FactoredField keeps every value factored for the checks.
     """
 
-    __slots__ = ("field", "base", "weight")
+    __slots__ = ("field", "base", "weight", "_brackets")
 
-    def __init__(self, base_name, weight_name):
-        field = SymbolicField(VarContext((base_name, weight_name)))
+    def __init__(self, base_name, weight_name, backend=SymbolicField):
+        field = backend(VarContext((base_name, weight_name)))
         self.field = field
         self.base = field.var(base_name)
         self.weight = field.var(weight_name)
+        self._brackets = {}  # (n, lam) -> bracket; the catalog repeats half of its 46
 
     def bracket(self, n, lam=0):
-        lead = self.weight ** lam * self.base ** n
-        return lead - lead ** -1
+        value = self._brackets.get((n, lam))
+        if value is None:
+            lead = self.weight ** lam * self.base ** n
+            value = self._brackets[(n, lam)] = lead - lead ** -1
+        return value
 
 
-def bcd_context():
-    return BracketContext("q", "r")
+def bcd_context(backend=SymbolicField):
+    return BracketContext("q", "r", backend)
 
 
-def exceptional_context():
-    return BracketContext("u", "w")
+def exceptional_context(backend=SymbolicField):
+    return BracketContext("u", "w", backend)
 
 
 def bcd_dims(ctx, alpha_sq):
@@ -142,7 +158,8 @@ def partition_holds(table, dim_z):
     Checked divided through by (dim Z)^2 / P_1(l_1), as
     P_1/(dim Z)^2 + sum over i > 1 of Q_1i/P_i(l_i) = P_1(l_1): summing
     the unreduced dimensions directly multiplies their denominators into
-    minute-scale arithmetic.
+    minute-scale arithmetic.  Over FactoredField each sum pulls out the
+    factors its two terms share, so only the rest is expanded.
     """
     p, q1 = table
     total = p[1] / (dim_z * dim_z)
@@ -152,17 +169,40 @@ def partition_holds(table, dim_z):
 
 
 class DimReport:
-    """Route comparison for one summand: projector route vs catalog."""
+    """Route comparison for one summand: projector route vs catalog.
 
-    __slots__ = ("summand", "route_a", "route_b", "equal", "gamma", "sign_flip")
+    route_a and route_b are the expanded SymbolicField values the report
+    renders; exact_a and exact_b are the same values over FactoredField,
+    and equal compares those.
+    """
 
-    def __init__(self, summand, route_a, route_b, gamma, sign_flip):
+    __slots__ = ("summand", "route_a", "route_b", "exact_a", "exact_b", "equal",
+                 "gamma", "sign_flip")
+
+    def __init__(self, summand, shown, exact, gamma, sign_flip):
         self.summand = summand
-        self.route_a = route_a
-        self.route_b = route_b
-        self.equal = route_a == route_b
+        self.route_a, self.route_b = shown
+        self.exact_a, self.exact_b = exact
+        self.equal = self.exact_a == self.exact_b
         self.gamma = gamma
         self.sign_flip = sign_flip
+
+    def mismatch(self):
+        """One line on how the catalog entry differs from the route: the
+        unit times monomial of catalog/route, then the atoms the catalog
+        has extra and those it lacks, with their multiplicities."""
+        from .factored import split  # imported late, as in verify_series
+
+        head, atoms = split(self.exact_b / self.exact_a)
+
+        def names(sign):
+            found = ["%s^%d" % (name, e * sign) if e * sign > 1 else name
+                     for name, e in atoms if e * sign > 0]
+            return ", ".join(found) or "none"
+
+        return "%s: catalog/route = %s; catalog extra: %s; catalog lacks: %s" % (
+            self.summand, head.render(), names(1), names(-1),
+        )
 
     def to_json_dict(self):
         return {
@@ -190,55 +230,75 @@ def verify_series(series):
     reported through the equal flag, never raised; exceptions mark
     broken internal conventions only.
     """
+    # imported here, not with the module: every CLI command imports dims,
+    # and only this check needs the factored backend
+    from .factored import FactoredField
+
     if series == "bcd":
-        return _verify_bcd()
+        return _verify_bcd(FactoredField)
     if series == "exceptional":
-        return _verify_exceptional()
+        return _verify_exceptional(FactoredField)
     raise ValueError("series must be 'bcd' or 'exceptional'")
 
 
-def _compare(table, dim_z, routes, catalog, names, gamma):
+# one series evaluated over one backend: the route table, dim Z, the route
+# and catalog value of each summand, and the root convention
+SeriesValues = namedtuple("SeriesValues", "table dim_z routes catalog gamma")
+
+
+def _compare(exact, shown, names):
     """Partition check, then one DimReport per summand against the catalog.
 
+    exact holds the series over FactoredField, shown the same series over
+    SymbolicField; every check reads exact, and the reports render shown.
     One global sign flip of all Q-derived quantities is allowed, but only
     when it makes the whole catalog match; the routes are nonzero, so it
     never engages while some summand already matches.
     """
-    if any(value.is_zero() for value in table[1].values()):
+    if any(value.is_zero() for value in exact.table[1].values()):
         raise RuntimeError("pair scalar vanished; the series pair must be simple")
-    if not partition_holds(table, dim_z):
+    if not partition_holds(exact.table, exact.dim_z):
         raise RuntimeError("summand dimensions do not add to the square of dim Z")
-    rows = list(zip(names, routes, catalog))
-    reports = [DimReport(n, a, b, gamma, False) for n, a, b in rows]
-    if not any(r.equal for r in reports) and all(-a == b for _, a, b in rows):
-        reports = [DimReport(n, -a, b, gamma, True) for n, a, b in rows]
+    rows = list(zip(names, shown.routes, shown.catalog, exact.routes, exact.catalog))
+    reports = [DimReport(n, (sa, sb), (a, b), shown.gamma, False) for n, sa, sb, a, b in rows]
+    if not any(r.equal for r in reports) and all(-a == b for *_, a, b in rows):
+        reports = [DimReport(n, (-sa, sb), (-a, b), shown.gamma, True)
+                   for n, sa, sb, a, b in rows]
     return reports
 
 
-def _verify_bcd():
+def _bcd_values(backend):
     # The braiding eigenvalues carry a free unit alpha with only
     # alpha^2 = +-1 observable.  Q_1i and P_1(l_1) P_i(l_i) are both
     # homogeneous of degree four in the eigenvalues and (alpha^2)^2 = 1,
     # so the route may fix alpha = 1 in the eigenvalue list and carry
     # alpha^2 through dim Z alone; both signs are still run and must
     # produce identical summand dimensions that, trivial included, add
-    # to (dim Z)^2.
-    ctx = bcd_context()
+    # to (dim Z)^2.  Returns the series at alpha^2 = 1, then at -1.
+    ctx = bcd_context(backend)
     one = ctx.field.one
     spec = RepSpec(CLASSIFIED, [ctx.weight ** -1, -(ctx.base ** -1), ctx.base])
     table = route_table(spec)
-    per_alpha = []
+    out = []
     for alpha_sq in (one, -one):
         dim_z, *catalog = bcd_dims(ctx, alpha_sq)
         routes = [summand_dim(table, dim_z, i) for i in (2, 3)]
-        per_alpha.append(_compare(table, dim_z, routes, catalog, BCD_SUMMANDS, spec.root_param))
-    if [r.route_a for r in per_alpha[0]] != [r.route_a for r in per_alpha[1]]:
+        out.append(SeriesValues(table, dim_z, routes, catalog, spec.root_param))
+    return out
+
+
+def _verify_bcd(exact_backend):
+    per_alpha = [
+        _compare(exact, shown, BCD_SUMMANDS)
+        for exact, shown in zip(_bcd_values(exact_backend), _bcd_values(SymbolicField))
+    ]
+    if [r.exact_a for r in per_alpha[0]] != [r.exact_a for r in per_alpha[1]]:
         raise RuntimeError("summand dimensions depend on the sign of alpha squared")
     return per_alpha[0]
 
 
-def _verify_exceptional():
-    ctx = exceptional_context()
+def _exceptional_values(backend):
+    ctx = exceptional_context(backend)
     u, w = ctx.base, ctx.weight
     # RepSpec checks the fifth-root convention gamma^5 = product of eigenvalues
     spec = RepSpec(
@@ -251,6 +311,11 @@ def _verify_exceptional():
     # dim Z = P_1(l_1) P_2(l_2) / Q_12, sign included
     dim_z = p[1] * p[2] / q1[2]
     routes = [dim_z] + [summand_dim(table, dim_z, i) for i in (3, 4, 5)]
+    return SeriesValues(table, dim_z, routes, exceptional_dims(ctx), spec.root_param)
+
+
+def _verify_exceptional(exact_backend):
     return _compare(
-        table, dim_z, routes, exceptional_dims(ctx), EXCEPTIONAL_SUMMANDS, spec.root_param,
+        _exceptional_values(exact_backend), _exceptional_values(SymbolicField),
+        EXCEPTIONAL_SUMMANDS,
     )

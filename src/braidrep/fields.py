@@ -338,16 +338,18 @@ def poly_mul(a, b, zero):
 
 def poly_divmod(a, b):
     """(quotient, remainder) of ascending coefficient sequences a by b; b's
-    leading entry must be a unit with an exact 1 / b[-1], as a nonzero
-    Fraction or Scalar is."""
+    leading entry must be 1 or a unit with an exact 1 / b[-1], as a nonzero
+    Fraction or Scalar is.  A monic b divides nothing, so int sequences by a
+    monic int b stay ints."""
     rem = list(a)
     n = len(b) - 1
-    lead_inv = 1 / b[-1]
+    lead_inv = None if b[-1] == 1 else 1 / b[-1]
     quo = []
     for i in range(len(rem) - 1, n - 1, -1):
         factor = rem[i]
         if factor != 0:
-            factor = factor * lead_inv
+            if lead_inv is not None:
+                factor = factor * lead_inv
             # entry i itself cancels exactly and is not read again
             for j in range(n):
                 rem[i - n + j] = rem[i - n + j] - factor * b[j]

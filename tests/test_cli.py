@@ -493,6 +493,21 @@ def test_dims_exceptional_reports_catalog_mismatches(capsys):
     assert "gamma: u^4" in out
 
 
+def test_dims_exceptional_explains_each_mismatch_on_stderr(capsys):
+    # one line per summand with equal=false: catalog/route as a unit times
+    # a monomial, then the atoms the catalog entry has extra and lacks
+    code, _, err = run_cli(capsys, ["dims", "--series", "exceptional"])
+    assert code == 2
+    assert err.splitlines() == [
+        "mismatch: adjoint: catalog/route = -1; catalog extra: none; catalog lacks: none",
+        "mismatch: symmetric: catalog/route = -1; catalog extra: none; catalog lacks: none",
+        "mismatch: symmetric_dual: catalog/route = -u^-1; catalog extra: Phi_4(u^3*w);"
+        " catalog lacks: Phi_4(u^2*w)",
+    ]
+    code, _, err = run_cli(capsys, ["dims", "--series", "bcd", "--format", "text"])
+    assert (code, err) == (0, "")
+
+
 def test_dims_unknown_series(capsys):
     code, _, err = run_cli(capsys, ["dims", "--series", "foo"])
     assert code == 1

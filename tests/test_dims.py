@@ -29,7 +29,8 @@ from braidrep.dims import (
     summand_dim,
     verify_series,
 )
-from braidrep.fields import RationalField
+from braidrep.factored import FactoredField
+from braidrep.fields import LaurentPolynomial, RationalField, SymbolicField
 from braidrep.reps import CLASSIFIED, RepSpec
 from braidrep.samplers import random_classified_spec, small_fraction
 
@@ -334,3 +335,51 @@ def test_partition_holds_matches_the_direct_sum(d):
                 (summand_dim(table, dim_z, i) for i in q1), Q.zero
             ) == dim_z * dim_z
             assert partition_holds(table, dim_z) == direct == holds
+
+
+# ---------------------------------------------------------------------------
+# the factored checks against the expanded backend
+
+
+def both_backends():
+    """(factored, symbolic) values of the exceptional series and of the bcd
+    series at alpha^2 = 1 and -1."""
+    exact = [dims._exceptional_values(FactoredField), *dims._bcd_values(FactoredField)]
+    shown = [dims._exceptional_values(SymbolicField), *dims._bcd_values(SymbolicField)]
+    return list(zip(exact, shown))
+
+
+def test_factored_checks_agree_with_symbolic_equality():
+    for exact, shown in both_backends():
+        for a, b, sa, sb in zip(exact.routes, exact.catalog, shown.routes, shown.catalog):
+            assert (a == b) == (sa == sb)
+            assert (-a == b) == (-sa == sb)
+            assert (a == -b) == (sa == -sb)
+        assert partition_holds(exact.table, exact.dim_z)
+        assert partition_holds(shown.table, shown.dim_z)
+        for dim_z, shown_dim_z in ((-exact.dim_z, -shown.dim_z),
+                                   (exact.dim_z + exact.dim_z, shown.dim_z + shown.dim_z)):
+            assert partition_holds(exact.table, dim_z) == partition_holds(shown.table, shown_dim_z)
+        assert not partition_holds(exact.table, exact.dim_z + exact.dim_z)
+
+
+def test_exceptional_checks_form_no_laurent_product(monkeypatch):
+    # The partition check expands its sums; once it has passed, the four
+    # catalog equalities, the sign-flip test and the mismatch lines compare
+    # factored maps only.
+    real = dims.partition_holds
+
+    def forbidden(self, other):
+        raise AssertionError("a LaurentPolynomial product was formed")
+
+    def then_forbid(table, dim_z):
+        holds = real(table, dim_z)
+        monkeypatch.setattr(LaurentPolynomial, "__mul__", forbidden)
+        return holds
+
+    exact = dims._exceptional_values(FactoredField)
+    monkeypatch.setattr(dims, "partition_holds", then_forbid)
+    reports = verify_series("exceptional")
+    assert [r.equal for r in reports] == [False, True, False, False]
+    assert [-a == b for a, b in zip(exact.routes, exact.catalog)] == [True, False, True, False]
+    assert all(r.mismatch() for r in reports if not r.equal)

@@ -464,8 +464,15 @@ def test_exceptional_route_products_agree_on_both_routes(monkeypatch):
 
     monkeypatch.setattr(fields, "kronecker_mul", recording)
     dims.verify_series("exceptional")
-    # the partition check, the catalog equalities and route forming
-    assert len(operands) == 32
+    # route forming (12) and the factored partition check (1)
+    assert len(operands) == 13
+    # the expanded checks, which test_dims keeps as the reference for the
+    # factored ones, cross-multiply the largest operands: the series over
+    # SymbolicField (12), its partition check (14) and catalog equalities (6)
+    shown = dims._exceptional_values(SymbolicField)
+    assert dims.partition_holds(shown.table, shown.dim_z)
+    assert [a == b for a, b in zip(shown.routes, shown.catalog)] == [False, True, False, False]
+    assert len(operands) == 13 + 12 + 14 + 6
     assert max(max(len(a), len(b)) for a, b, _ in operands) == 1773
     for a, b, out in operands:
         assert out == sparse_mul(a, b)
