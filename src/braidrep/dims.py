@@ -267,34 +267,35 @@ def _compare(exact, shown, names):
     return reports
 
 
-def _bcd_values(backend):
+def _bcd_values(backend, alpha_squares=(1, -1)):
     # The braiding eigenvalues carry a free unit alpha with only
     # alpha^2 = +-1 observable.  Q_1i and P_1(l_1) P_i(l_i) are both
     # homogeneous of degree four in the eigenvalues and (alpha^2)^2 = 1,
     # so the route may fix alpha = 1 in the eigenvalue list and carry
     # alpha^2 through dim Z alone; both signs are still run and must
     # produce identical summand dimensions that, trivial included, add
-    # to (dim Z)^2.  Returns the series at alpha^2 = 1, then at -1.
+    # to (dim Z)^2.  Returns the series at each of alpha_squares.
     ctx = bcd_context(backend)
-    one = ctx.field.one
     spec = RepSpec(CLASSIFIED, [ctx.weight ** -1, -(ctx.base ** -1), ctx.base])
     table = route_table(spec)
     out = []
-    for alpha_sq in (one, -one):
-        dim_z, *catalog = bcd_dims(ctx, alpha_sq)
+    for alpha_sq in alpha_squares:
+        dim_z, *catalog = bcd_dims(ctx, ctx.field.const(alpha_sq))
         routes = [summand_dim(table, dim_z, i) for i in (2, 3)]
         out.append(SeriesValues(table, dim_z, routes, catalog, spec.root_param))
     return out
 
 
 def _verify_bcd(exact_backend):
-    per_alpha = [
-        _compare(exact, shown, BCD_SUMMANDS)
-        for exact, shown in zip(_bcd_values(exact_backend), _bcd_values(SymbolicField))
-    ]
-    if [r.exact_a for r in per_alpha[0]] != [r.exact_a for r in per_alpha[1]]:
+    exact, exact_flipped = _bcd_values(exact_backend)
+    # only the alpha^2 = 1 reports are shown, so only they are expanded; the
+    # alpha^2 = -1 pass is checked on the factored values alone
+    shown, = _bcd_values(SymbolicField, (1,))
+    reports = _compare(exact, shown, BCD_SUMMANDS)
+    flipped = _compare(exact_flipped, exact_flipped, BCD_SUMMANDS)
+    if [r.exact_a for r in reports] != [r.exact_a for r in flipped]:
         raise RuntimeError("summand dimensions depend on the sign of alpha squared")
-    return per_alpha[0]
+    return reports
 
 
 def _exceptional_values(backend):

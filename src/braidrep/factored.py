@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .fields import LaurentPolynomial, Scalar, _grlex_key, poly_divmod
+from .fields import LaurentPolynomial, Scalar, poly_divmod
 
 
 class FactoredField:
@@ -257,7 +257,7 @@ def _opaque(terms):
     nvars = len(next(iter(terms)))
     mono = tuple(min(m[i] for m in terms) for i in range(nvars))
     num, den = _content(terms.values())
-    if max(terms.items(), key=lambda mc: _grlex_key(mc[0]))[1] < 0:
+    if terms[max(zip(map(sum, terms), terms))[1]] < 0:  # graded-lex leading term
         num = -num
     key = tuple(sorted(
         (tuple(a - b for a, b in zip(m, mono)), c * den // num) for m, c in terms.items()

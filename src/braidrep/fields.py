@@ -3,7 +3,8 @@ pairs, rationals, and algebraic number fields Q[x]/(m).
 
 Every scalar belongs to exactly one field backend; mixing backends raises
 BackendMismatch. Rational-function pairs are reduced only by extracting monomial
-and rational content from the denominator (never a full multivariate gcd), and
+and rational content from the denominator (never a full multivariate gcd), by
+exact int // when the content is an int dividing every coefficient, and
 equality is decided by cross-multiplication. Serialization uses a fixed
 graded-lexicographic term order over the context's declared variable order, so
 rendering is deterministic and parse(render(x)) == x. All three backends parse
@@ -20,14 +21,18 @@ A Laurent product takes one of two routes, chosen by input size alone.  With
 n1*n2 term pairs at least DENSE_MIN_PAIRS and a dense exponent box (per
 variable, the sum of the operands' exponent ranges plus one) of at most n1*n2
 cells, kronecker_mul packs each operand into one int and lets a single int
-product form every coefficient (Kronecker substitution).  Every other product,
+product form every coefficient (Kronecker substitution); memoryview.cast reads
+the product's slots and only nonzero cells become terms.  Every other product,
 and the tests' reference for the dense one, is sparse_mul, the term-pair loop.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import compress, product, repeat
+from math import gcd, isqrt, lcm, prod
+from operator import add, floordiv, mod, mul, sub
 import re
+import sys
 
 
 class BackendMismatch(TypeError):
@@ -73,11 +78,6 @@ class VarContext:
 
 
 _NO_VARS = VarContext(())
-
-
-def _grlex_key(mono):
-    # graded-lex: total degree first, then the exponent tuple itself
-    return (sum(mono), mono)
 
 
 class LaurentPolynomial:
@@ -143,36 +143,46 @@ class LaurentPolynomial:
         value = Fraction(value)
         return LaurentPolynomial(self.context, {m: c * value for m, c in self.terms.items()})
 
-    def shift(self, mono):
-        """Multiply by the monomial with the given exponent tuple."""
+    def divide_by_term(self, coeff, mono):
+        """self / (coeff * x^mono) in one pass over the terms: exact int //
+        when coeff is an int dividing every coefficient, else Fractions."""
+        terms = self.terms
+        keys = [tuple(map(sub, m, mono)) for m in terms] if any(mono) else terms
+        if type(coeff) is int and not any(map(mod, terms.values(), repeat(coeff))):
+            # nonzero ints need no normalizing
+            out = LaurentPolynomial.__new__(LaurentPolynomial)
+            out.context = self.context
+            out.terms = dict(zip(keys, map(floordiv, terms.values(), repeat(coeff))))
+            return out
         return LaurentPolynomial(
-            self.context,
-            {tuple(a + b for a, b in zip(m, mono)): c for m, c in self.terms.items()},
-        )
+            self.context, dict(zip(keys, map(mul, terms.values(), repeat(Fraction(1, coeff))))))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: _grlex_key(mc[0]), reverse=True)
+        # graded-lex: total degree, then the exponent tuple; the keys are distinct
+        terms = self.terms
+        return [(m, c) for _, m, c in sorted(zip(map(sum, terms), terms, terms.values()),
+                                             reverse=True)]
 
     def leading_coeff(self):
         if not self.terms:
             return Fraction(0)
-        return max(self.terms.items(), key=lambda mc: _grlex_key(mc[0]))[1]
+        return self.terms[max(zip(map(sum, self.terms), self.terms))[1]]
 
     def content(self):
         """(signed content, monomial content): sign of the leading coefficient times
-        gcd(numerators)/lcm(denominators), and the per-variable minimum exponents."""
-        if not self.terms:
-            return Fraction(1), (0,) * len(self.context)
-        g = 0
-        l = 1
-        for c in self.terms.values():
-            g = gcd(g, abs(c.numerator))
-            l = lcm(l, c.denominator)
-        content = Fraction(g, l)
+        gcd(numerators)/lcm(denominators), an int when every coefficient is an
+        int, and the per-variable minimum exponents."""
+        coeffs = self.terms.values()
+        if not coeffs:
+            return 1, (0,) * len(self.context)
+        try:
+            content = gcd(*coeffs)  # math.gcd refuses a Fraction
+        except TypeError:
+            content = Fraction(gcd(*(c.numerator for c in coeffs)),
+                               lcm(*(c.denominator for c in coeffs)))
         if self.leading_coeff() < 0:
             content = -content
-        mono = tuple(min(m[i] for m in self.terms) for i in range(len(self.context)))
-        return content, mono
+        return content, tuple(map(min, zip(*self.terms)))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -182,25 +192,21 @@ class LaurentPolynomial:
     def render(self):
         if not self.terms:
             return "0"
+        names = self.context.names
         out = []
         for mono, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.context.names, mono):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else "%s^%d" % (name, e))
-            mag = abs(coeff)
+            factors = "*".join([name if e == 1 else f"{name}^{e}"
+                                for name, e in zip(names, mono) if e])
+            # an int or a Fraction formats as its plain decimal form
+            sign, mag = "+" if coeff > 0 else "-", abs(coeff)
             if not factors:
-                body = _render_fraction(mag)
+                out.append(f"{sign}{mag}")
             elif mag == 1:
-                body = "*".join(factors)
+                out.append(sign + factors)
             else:
-                body = _render_fraction(mag) + "*" + "*".join(factors)
-            if not out:
-                out.append(body if coeff > 0 else "-" + body)
-            else:
-                out.append(("+" if coeff > 0 else "-") + body)
-        return "".join(out)
+                out.append(f"{sign}{mag}*{factors}")
+        text = "".join(out)
+        return text[1:] if text[0] == "+" else text
 
     def __repr__(self):
         return "LaurentPolynomial(%s)" % self.render()
@@ -215,7 +221,7 @@ def sparse_mul(a, b):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
+            m = tuple(map(add, m1, m2))
             s = out.get(m, 0) + c1 * c2
             if s == 0:
                 out.pop(m, None)
@@ -231,24 +237,20 @@ def kronecker_mul(a, b, max_cells):
 
     The box spans, per variable, the sum of the operands' exponent ranges.
     Each operand, scaled to integers by the lcm of its denominators, becomes
-    one int with a k-bit slot per box cell, so one int product forms every
+    one int with a slot per box cell, so one int product forms every
     coefficient at once.  A slot sums at most min(n1, n2) term products, and
-    k leaves a bit above the largest such sum: adding 2^(k-1) to every slot
-    makes each one nonnegative, so no slot borrows from the next, and flipping
-    that bit back leaves each coefficient in k-bit two's complement.
+    its width leaves a bit above the largest such sum: adding 2^(k-1) to every
+    k-bit slot makes each one nonnegative, so no slot borrows from the next,
+    and flipping that bit back leaves each coefficient in k-bit two's
+    complement.  A slot of 1, 2, 4 or 8 bytes is read by memoryview.cast; a
+    wider one by int.from_bytes.
     """
     if not a or not b:
         return {}
-    nvars = len(next(iter(a)))
-    lows_a, lows_b, sizes = [], [], []
-    cells = 1
-    for i in range(nvars):
-        lo_a, hi_a = min(m[i] for m in a), max(m[i] for m in a)
-        lo_b, hi_b = min(m[i] for m in b), max(m[i] for m in b)
-        lows_a.append(lo_a)
-        lows_b.append(lo_b)
-        sizes.append(hi_a - lo_a + hi_b - lo_b + 1)
-        cells *= sizes[-1]
+    lows_a, highs_a = tuple(map(min, zip(*a))), map(max, zip(*a))
+    lows_b, highs_b = tuple(map(min, zip(*b))), map(max, zip(*b))
+    sizes = [ha - la + hb - lb + 1 for la, ha, lb, hb in zip(lows_a, highs_a, lows_b, highs_b)]
+    cells = prod(sizes)
     if cells > max_cells:
         return None
     ints_a, scale_a = _cell_integers(a, lows_a, sizes)
@@ -256,40 +258,39 @@ def kronecker_mul(a, b, max_cells):
     bound = (max(map(abs, ints_a.values())) * max(map(abs, ints_b.values()))
              * min(len(a), len(b)))
     width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * cells, "little")
     packed = (_pack(ints_a, width, cells) * _pack(ints_b, width, cells) + bias) ^ bias
-    data = packed.to_bytes(width * cells, "little")
+    if width <= 8:
+        # the cast reads native byte order; big-endian bytes reverse the cells
+        slots = memoryview(packed.to_bytes(width * cells, sys.byteorder)).cast(
+            _SLOT_FORMATS[width])[::1 if sys.byteorder == "little" else -1]
+    else:
+        data = packed.to_bytes(width * cells, "little")
+        slots = [int.from_bytes(data[i:i + width], "little", signed=True)
+                 for i in range(0, len(data), width)]
+    # product() counts the last variable fastest, as the cells do
+    monos = product(*(range(x + y, x + y + size) for x, y, size in zip(lows_a, lows_b, sizes)))
+    out = dict(compress(zip(monos, slots), slots))
     den = scale_a * scale_b
-    lows = [x + y for x, y in zip(lows_a, lows_b)]
-    out = {}
-    cell = -1
-    # a zero coefficient is an all-zero slot; a run of nonzero bytes touches
-    # only nonzero slots, and two runs may share one
-    for run in _NONZERO_BYTES.finditer(data):
-        for cell in range(max(cell + 1, run.start() // width), (run.end() - 1) // width + 1):
-            c = int.from_bytes(data[cell * width:(cell + 1) * width], "little", signed=True)
-            mono = []
-            rest = cell
-            for lo, size in zip(lows, sizes):
-                rest, offset = divmod(rest, size)
-                mono.append(lo + offset)
-            out[tuple(mono)] = c if den == 1 else Fraction(c, den)
+    if den != 1:
+        out = {m: Fraction(c, den) for m, c in out.items()}
     return out
 
 
-_NONZERO_BYTES = re.compile(rb"[^\x00]+")
+_SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _cell_integers(terms, lows, sizes):
     """({box cell: integer coefficient}, scale) for terms times scale, the lcm
-    of their denominators; a cell counts the first variable fastest."""
+    of their denominators; a cell counts the last variable fastest."""
     scale = lcm(*(c.denominator for c in terms.values()))
     out = {}
     for mono, c in terms.items():
-        cell, stride = 0, 1
+        cell = 0
         for e, lo, size in zip(mono, lows, sizes):
-            cell += (e - lo) * stride
-            stride *= size
+            cell = cell * size + e - lo
         out[cell] = c.numerator * (scale // c.denominator)
     return out, scale
 
@@ -305,12 +306,6 @@ def _pack(ints, width, cells):
         else:
             neg[start:start + width] = (-c).to_bytes(width, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _render_fraction(c):
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
 
 
 def square_and_multiply(base, k, one):
@@ -485,7 +480,7 @@ class RationalField:
         return a == b
 
     def _render(self, a):
-        return _render_fraction(a)
+        return str(a)
 
     def parse(self, text):
         # over no variables every polynomial is its constant term
@@ -520,10 +515,7 @@ class SymbolicField:
             return Scalar(self, (num, LaurentPolynomial.const(self.context, 1)))
         content, mono = den.content()
         if content != 1 or any(mono):
-            inv = 1 / content
-            neg = tuple(-e for e in mono)
-            num = num.scale(inv).shift(neg)
-            den = den.scale(inv).shift(neg)
+            num, den = num.divide_by_term(content, mono), den.divide_by_term(content, mono)
         return Scalar(self, (num, den))
 
     def from_poly(self, p):

@@ -94,6 +94,26 @@ def test_verify_bcd_both_summands_match():
     )
 
 
+def test_verify_bcd_expands_only_the_shown_sign(monkeypatch):
+    # the alpha^2 = -1 pass is checked on factored values and never shown,
+    # so the expanded series is formed once, at alpha^2 = 1
+    real = dims.bcd_dims
+    calls = []
+
+    def recording(ctx, alpha_sq):
+        calls.append((type(ctx.field).__name__, alpha_sq == ctx.field.one))
+        return real(ctx, alpha_sq)
+
+    monkeypatch.setattr(dims, "bcd_dims", recording)
+    reports = verify_series("bcd")
+    assert sorted(calls) == [("FactoredField", False), ("FactoredField", True),
+                             ("SymbolicField", True)]
+    assert [(r.equal, r.sign_flip) for r in reports] == [(True, False)] * 2
+    assert report_sha256(reports) == (
+        "9e9c6129e85a7c66c128168acb87e3365aeeb6d93e806e37b1c38252e010f535"
+    )
+
+
 def test_verify_bcd_checks_the_partition_of_dimz_squared(monkeypatch):
     # Doubling dim Z scales both summands by four for either sign of
     # alpha^2, so the sign check still passes; only 1 + X + Y = (dim Z)^2

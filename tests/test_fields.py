@@ -1,6 +1,7 @@
 """Field-axiom, serialization, and specialization checks for the scalar backends."""
 
 from fractions import Fraction
+from math import gcd, lcm
 import random
 import time
 
@@ -476,3 +477,103 @@ def test_exceptional_route_products_agree_on_both_routes(monkeypatch):
     assert max(max(len(a), len(b)) for a, b, _ in operands) == 1773
     for a, b, out in operands:
         assert out == sparse_mul(a, b)
+
+
+# one line of three terms: the product's middle cell sums three term products
+LINE = ((-1, 1), (0, 0), (1, -1))
+
+
+@pytest.mark.parametrize("bits", [7, 15, 31, 63, 200])
+def test_kronecker_mul_slot_widths(bits):
+    # A slot of k bits holds -2^(k-1) .. 2^(k-1) - 1: a largest slot sum just
+    # below 2^bits fits the narrower slot, one just above needs the next
+    # width (1, 2, 4 or 8 bytes, then a wide slot past 2^63).
+    ctx = VarContext(("x", "y"))
+    below = 2 ** bits // 3
+    for c, side in ((below, -1), (below + 1, 1)):
+        assert (3 * c > 2 ** bits) == (side > 0) and 3 * c != 2 ** bits
+        for sign in (1, -1):
+            for den in (1, 2 ** 61 - 1):
+                assert Fraction(c, den).denominator == den
+                a = LaurentPolynomial(ctx, {m: Fraction(sign * c, den) for m in LINE}).terms
+                b = LaurentPolynomial(ctx, {m: 1 for m in LINE}).terms
+                expected = sparse_mul(a, b)
+                assert expected[(0, 0)] == Fraction(3 * sign * c, den)
+                assert kronecker_mul(a, b, ANY_BOX) == expected
+                assert kronecker_mul(b, a, ANY_BOX) == expected
+
+
+def old_normalized(num, den):
+    """The (num, den) that SymbolicField._pair gave when it divided both by
+    scale(1/content).shift(-mono), with content taken term by term."""
+    g, l = 0, 1
+    for c in den.terms.values():
+        g = gcd(g, abs(c.numerator))
+        l = lcm(l, c.denominator)
+    content = Fraction(g, l)
+    if max(den.terms.items(), key=lambda mc: (sum(mc[0]), mc[0]))[1] < 0:
+        content = -content
+    mono = tuple(min(m[i] for m in den.terms) for i in range(len(den.context)))
+    if content == 1 and not any(mono):
+        return num, den
+
+    def divided(p):
+        return LaurentPolynomial(p.context, {
+            tuple(a - b for a, b in zip(m, mono)): c * (1 / content) for m, c in p.terms.items()
+        })
+
+    return divided(num), divided(den)
+
+
+def typed_terms(p):
+    return {m: (type(c), c) for m, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("num, den", [
+    ("x+3", "2*x+4"),                      # integer content 2 does not divide x + 3
+    ("4*x^2-6*y", "2*x-8*y^3"),            # integer content 2 divides both
+    ("x*y+1/5", "2/3*x+4/9*y"),            # Fraction content 2/9
+    ("7*x-2", "-3*x^2+6*y"),               # negative leading coefficient
+    ("x^3+2*y", "-6*x^2*y^-1"),            # monomial denominator, negative
+    ("3/4*x-y^2", "5*x^-1*y^2"),           # monomial denominator, Fraction num
+    ("x-y", "x*y^2+x^2*y"),                # monomial content only
+    ("1", "1/2"),                          # constant denominator
+])
+def test_pair_normalization_matches_the_scale_shift_formula(num, den):
+    field = SymbolicField(VarContext(("x", "y")))
+    n, d = field.parse(num).value[0], field.parse(den).value[0]
+    got_num, got_den = field._pair(n, d).value
+    want_num, want_den = old_normalized(n, d)
+    assert typed_terms(got_num) == typed_terms(want_num)
+    assert typed_terms(got_den) == typed_terms(want_den)
+
+
+def test_pair_normalization_matches_on_random_pairs():
+    field = SymbolicField(VarContext(("x", "y")))
+    rng = random.Random(1414)
+    for _ in range(300):
+        n = random_rf(field, rng).value[0].scale(rng.choice([1, 6, -10]))
+        d = random_rf(field, rng).value[0].scale(rng.choice([2, -3, 4]))
+        if n.is_zero() or d.is_zero():
+            continue
+        got = field._pair(n, d).value
+        want = old_normalized(n, d)
+        assert [typed_terms(p) for p in got] == [typed_terms(p) for p in want]
+
+
+@pytest.mark.parametrize("terms, text", [
+    ({(1, 0): 1, (0, 1): -1}, "x-y"),
+    ({(1, 0): -1, (0, 1): 1}, "-x+y"),
+    ({(2, -1): Fraction(3, 4), (0, 0): Fraction(-5, 2)}, "3/4*x^2*y^-1-5/2"),
+    ({(0, 2): Fraction(-1, 3), (1, 0): Fraction(7, 5)}, "-1/3*y^2+7/5*x"),
+    ({(0, 0): 7}, "7"),
+    ({(0, 0): -1}, "-1"),
+    ({(0, 0): Fraction(-2, 9)}, "-2/9"),
+    ({(3, 0): 10 ** 40 + 1, (0, 0): -(2 ** 100)},
+     "10000000000000000000000000000000000000001*x^3-1267650600228229401496703205376"),
+])
+def test_render_coefficients(terms, text):
+    ctx = VarContext(("x", "y"))
+    p = LaurentPolynomial(ctx, terms)
+    assert p.render() == text
+    assert SymbolicField(ctx).parse(text).value == (p, LaurentPolynomial.const(ctx, 1))
