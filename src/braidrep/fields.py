@@ -17,20 +17,25 @@ coefficient sequences: poly_mul (schoolbook product), poly_divmod (division
 by a unit-led divisor) and horner (evaluation at a scalar, or at a matrix
 when the coefficients are scalar matrices).
 
-A Laurent product takes one of two routes, chosen by input size alone.  With
-n1*n2 term pairs at least DENSE_MIN_PAIRS and a dense exponent box (per
-variable, the sum of the operands' exponent ranges plus one) of at most n1*n2
-cells, kronecker_mul packs each operand into one int and lets a single int
-product form every coefficient (Kronecker substitution); memoryview.cast reads
-the product's slots and only nonzero cells become terms.  Every other product,
-and the tests' reference for the dense one, is sparse_mul, the term-pair loop.
+A Laurent product takes one of three routes, chosen by input size alone.  A
+single-term operand shifts and scales the other.  With n1*n2 term pairs at
+least DENSE_MIN_PAIRS and an exponent box of at most n1*n2 cells,
+kronecker_mul packs each operand into one int and lets a single int product
+form every coefficient (Kronecker substitution); the box lies on the exponent
+lattice, a cell per (e - low) / step with the step the gcd of both operands'
+offsets per variable, and memoryview.cast reads the product's slots so that
+only nonzero cells become terms.  Every other product, and the tests'
+reference for the dense one, is sparse_mul, the term-pair loop.  Products
+and sums of int coefficients stay ints and a negation keeps each coefficient's
+type, so these and exact divisions by a term go through one trusted
+constructor that skips the normalizing pass.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import gcd, isqrt, lcm, prod
-from operator import add, floordiv, mod, mul, sub
+from operator import add, floordiv, mod, mul, neg, sub
 import re
 import sys
 
@@ -93,6 +98,22 @@ class LaurentPolynomial:
         }
 
     @classmethod
+    def _trusted(cls, context, terms):
+        """A polynomial on terms that are already normalized: nonzero, and an
+        int exactly when integral."""
+        out = cls.__new__(cls)
+        out.context, out.terms = context, terms
+        return out
+
+    def _formed(self, terms, a, b):
+        """A polynomial on the nonzero terms of a sum or product of the terms
+        a and b: trusted when every coefficient of a and b is an int, as the
+        sums and products of ints are, else normalized."""
+        if Fraction in map(type, a.values()) or Fraction in map(type, b.values()):
+            return LaurentPolynomial(self.context, terms)
+        return LaurentPolynomial._trusted(self.context, terms)
+
+    @classmethod
     def const(cls, context, value):
         value = Fraction(value)
         if value == 0:
@@ -124,20 +145,29 @@ class LaurentPolynomial:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return LaurentPolynomial(self.context, out)
+        return self._formed(out, self.terms, other.terms)
 
     def __neg__(self):
-        return LaurentPolynomial(self.context, {m: -c for m, c in self.terms.items()})
+        # a negated coefficient stays nonzero, and integral exactly when it was
+        terms = self.terms
+        return LaurentPolynomial._trusted(self.context, dict(zip(terms, map(neg, terms.values()))))
 
     def __mul__(self, other):
         self._check(other)
-        pairs = len(self.terms) * len(other.terms)
-        if pairs >= DENSE_MIN_PAIRS:
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # one term shifts and scales the other operand: no pair loop
+            [(mono, coeff)] = a.items()
+            out = dict(zip(_shifted(b, mono), map(mul, b.values(), repeat(coeff))))
+        else:
+            pairs = len(a) * len(b)
             # the cheap length test first: small products never size a box
-            out = kronecker_mul(self.terms, other.terms, pairs)
-            if out is not None:
-                return LaurentPolynomial(self.context, out)
-        return LaurentPolynomial(self.context, sparse_mul(self.terms, other.terms))
+            out = kronecker_mul(a, b, pairs) if pairs >= DENSE_MIN_PAIRS else None
+            if out is None:
+                out = sparse_mul(a, b)
+        return self._formed(out, a, b)
 
     def scale(self, value):
         value = Fraction(value)
@@ -147,13 +177,11 @@ class LaurentPolynomial:
         """self / (coeff * x^mono) in one pass over the terms: exact int //
         when coeff is an int dividing every coefficient, else Fractions."""
         terms = self.terms
-        keys = [tuple(map(sub, m, mono)) for m in terms] if any(mono) else terms
+        keys = _shifted(terms, tuple(map(neg, mono)))
         if type(coeff) is int and not any(map(mod, terms.values(), repeat(coeff))):
             # nonzero ints need no normalizing
-            out = LaurentPolynomial.__new__(LaurentPolynomial)
-            out.context = self.context
-            out.terms = dict(zip(keys, map(floordiv, terms.values(), repeat(coeff))))
-            return out
+            return LaurentPolynomial._trusted(
+                self.context, dict(zip(keys, map(floordiv, terms.values(), repeat(coeff)))))
         return LaurentPolynomial(
             self.context, dict(zip(keys, map(mul, terms.values(), repeat(Fraction(1, coeff))))))
 
@@ -230,31 +258,41 @@ def sparse_mul(a, b):
     return out
 
 
+def _shifted(terms, mono):
+    """The exponent tuples of terms, each plus mono."""
+    return [tuple(map(add, m, mono)) for m in terms] if any(mono) else terms
+
+
 def kronecker_mul(a, b, max_cells):
     """Product of two {exponent tuple: coefficient} dicts by Kronecker
-    substitution, or None when the product's dense exponent box has more than
+    substitution, or None when the product's exponent box has more than
     max_cells cells.
 
-    The box spans, per variable, the sum of the operands' exponent ranges.
-    Each operand, scaled to integers by the lcm of its denominators, becomes
-    one int with a slot per box cell, so one int product forms every
-    coefficient at once.  A slot sums at most min(n1, n2) term products, and
-    its width leaves a bit above the largest such sum: adding 2^(k-1) to every
-    k-bit slot makes each one nonnegative, so no slot borrows from the next,
-    and flipping that bit back leaves each coefficient in k-bit two's
-    complement.  A slot of 1, 2, 4 or 8 bytes is read by memoryview.cast; a
-    wider one by int.from_bytes.
+    The box lies on the exponent lattice: per variable, the step is the gcd
+    of both operands' exponent offsets from their lowest exponents, a cell
+    index is (e - low) / step, and the box spans the sum of the operands'
+    index ranges.  Each operand, scaled to integers by the lcm of its
+    denominators, becomes one int with a slot per box cell, so one int
+    product forms every coefficient at once.  A slot sums at most
+    min(n1, n2) term products, and its width leaves a bit above the largest
+    such sum: adding 2^(k-1) to every k-bit slot makes each one nonnegative,
+    so no slot borrows from the next, and flipping that bit back leaves each
+    coefficient in k-bit two's complement.  A slot of 1, 2, 4 or 8 bytes is
+    read by memoryview.cast; a wider one by int.from_bytes.
     """
     if not a or not b:
         return {}
-    lows_a, highs_a = tuple(map(min, zip(*a))), map(max, zip(*a))
-    lows_b, highs_b = tuple(map(min, zip(*b))), map(max, zip(*b))
-    sizes = [ha - la + hb - lb + 1 for la, ha, lb, hb in zip(lows_a, highs_a, lows_b, highs_b)]
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    lows_a, lows_b = list(map(min, cols_a)), list(map(min, cols_b))
+    steps = [gcd(*map(sub, ca, repeat(la)), *map(sub, cb, repeat(lb))) or 1
+             for ca, la, cb, lb in zip(cols_a, lows_a, cols_b, lows_b)]
+    sizes = [(max(ca) - la + max(cb) - lb) // step + 1
+             for ca, la, cb, lb, step in zip(cols_a, lows_a, cols_b, lows_b, steps)]
     cells = prod(sizes)
     if cells > max_cells:
         return None
-    ints_a, scale_a = _cell_integers(a, lows_a, sizes)
-    ints_b, scale_b = _cell_integers(b, lows_b, sizes)
+    ints_a, scale_a = _cell_integers(a, lows_a, steps, sizes)
+    ints_b, scale_b = _cell_integers(b, lows_b, steps, sizes)
     bound = (max(map(abs, ints_a.values())) * max(map(abs, ints_b.values()))
              * min(len(a), len(b)))
     width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
@@ -271,7 +309,8 @@ def kronecker_mul(a, b, max_cells):
         slots = [int.from_bytes(data[i:i + width], "little", signed=True)
                  for i in range(0, len(data), width)]
     # product() counts the last variable fastest, as the cells do
-    monos = product(*(range(x + y, x + y + size) for x, y, size in zip(lows_a, lows_b, sizes)))
+    monos = product(*(range(x + y, x + y + size * step, step)
+                      for x, y, step, size in zip(lows_a, lows_b, steps, sizes)))
     out = dict(compress(zip(monos, slots), slots))
     den = scale_a * scale_b
     if den != 1:
@@ -282,15 +321,15 @@ def kronecker_mul(a, b, max_cells):
 _SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def _cell_integers(terms, lows, sizes):
+def _cell_integers(terms, lows, steps, sizes):
     """({box cell: integer coefficient}, scale) for terms times scale, the lcm
     of their denominators; a cell counts the last variable fastest."""
     scale = lcm(*(c.denominator for c in terms.values()))
     out = {}
     for mono, c in terms.items():
         cell = 0
-        for e, lo, size in zip(mono, lows, sizes):
-            cell = cell * size + e - lo
+        for e, lo, step, size in zip(mono, lows, steps, sizes):
+            cell = cell * size + (e - lo) // step
         out[cell] = c.numerator * (scale // c.denominator)
     return out, scale
 

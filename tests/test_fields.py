@@ -395,6 +395,123 @@ def test_kronecker_mul_matches_sparse_mul():
     check()
 
 
+def test_kronecker_mul_matches_sparse_mul_on_lattices():
+    # each operand draws, per variable, a lowest exponent and a step of 1 to
+    # 5, and its exponents are low + step * k; the box lies on the lattice of
+    # both operands' steps, so it fits the cells their gcd allows
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficients = st.one_of(
+        st.integers(-(2 ** 70), 2 ** 70),
+        st.builds(Fraction, st.integers(-(10 ** 20), 10 ** 20), st.integers(1, 10 ** 6)),
+    )
+
+    def operand(nvars):
+        def terms(lows, steps):
+            monos = st.tuples(*[st.integers(0, 6).map(lambda k, lo=lo, step=step: lo + step * k)
+                                for lo, step in zip(lows, steps)])
+            return st.tuples(st.just(steps), st.dictionaries(monos, coefficients, max_size=10))
+
+        lattice = st.tuples(st.tuples(*[st.integers(-12, 6)] * nvars),
+                            st.tuples(*[st.integers(1, 5)] * nvars))
+        return lattice.flatmap(lambda ls: terms(*ls))
+
+    seen = set()
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @hypothesis.given(st.integers(1, 3).flatmap(lambda n: st.tuples(operand(n), operand(n))))
+    def check(pair):
+        (steps_a, a), (steps_b, b) = pair
+        ctx = VarContext(("x", "y", "z")[:len(steps_a)])
+        a, b = LaurentPolynomial(ctx, a).terms, LaurentPolynomial(ctx, b).terms
+        expected = sparse_mul(a, b)
+        assert kronecker_mul(a, b, ANY_BOX) == expected
+        cells = 1
+        for i, (sa, sb) in enumerate(zip(steps_a, steps_b)):
+            spans = [max(m[i] for m in t) - min(m[i] for m in t) for t in (a, b) if t]
+            cells *= sum(spans) // gcd(sa, sb) + 1
+        assert kronecker_mul(a, b, cells) == expected
+        for t in (a, b):
+            seen.add(min(len(t), 2))
+            seen.update(type(c) for c in t.values())
+            seen.update("negative" for m in t if min(m) < 0)
+        seen.update(("steps differ",) if steps_a != steps_b else ())
+
+    check()
+    assert seen == {0, 1, 2, int, Fraction, "negative", "steps differ"}
+
+
+def record_routes(monkeypatch):
+    """A list that records, per Laurent product, "dense", "box" (the dense
+    box was refused) and "sparse" (the term-pair loop)."""
+    routes = []
+    real_sparse, real_dense = fields.sparse_mul, fields.kronecker_mul
+
+    def sparse(a, b):
+        routes.append("sparse")
+        return real_sparse(a, b)
+
+    def dense(a, b, max_cells):
+        out = real_dense(a, b, max_cells)
+        routes.append("box" if out is None else "dense")
+        return out
+
+    monkeypatch.setattr(fields, "sparse_mul", sparse)
+    monkeypatch.setattr(fields, "kronecker_mul", dense)
+    return routes
+
+
+def test_every_route_keeps_the_coefficient_invariant(monkeypatch):
+    # every coefficient nonzero, and an int exactly when integral: each
+    # product, sum and negation must hold the same terms, with the same types,
+    # as the normalizing constructor gives
+    ctx = VarContext(("u", "w"))
+
+    def lattice(coeff, nu, nw, low=(0, 0)):
+        # nu * nw terms on the step-2 lattice from low
+        return LaurentPolynomial(ctx, {(low[0] + 2 * i, low[1] + 2 * j): coeff(i, j)
+                                       for i in range(nu) for j in range(nw)})
+
+    ints = lattice(lambda i, j: (-1) ** i * (j + 2), 4, 4)
+    # halves times evens: every product coefficient is an integral Fraction
+    halves = lattice(lambda i, j: Fraction(2 * i + 1, 2) * (-1) ** j, 4, 4, (-3, 1))
+    evens = lattice(lambda i, j: 2 * i - 2 * j + 8, 4, 4, (1, -5))
+    thirds = lattice(lambda i, j: Fraction(i - 2 * j + 1, 3) or 5, 4, 4)
+    # x exponents of gcd 1 need a box past n1 * n2 cells
+    ragged = LaurentPolynomial(ctx, {(i * i, 0): i + 1 for i in range(16)})
+    operands = [
+        ints, halves, evens, thirds, ragged,
+        LaurentPolynomial(ctx, {(0, 0): 2, (1, -1): -3}),
+        LaurentPolynomial(ctx, {(0, 0): Fraction(1, 2), (-1, 1): Fraction(3, 2)}),
+        LaurentPolynomial(ctx, {(-2, 3): 6}),
+        LaurentPolynomial(ctx, {(1, 0): Fraction(2, 3)}),
+        LaurentPolynomial(ctx, {(0, 0): Fraction(3, 2)}),
+        LaurentPolynomial(ctx, {}),
+    ]
+
+    def assert_normalized(got, expected):
+        assert got.terms == expected.terms
+        types = {m: type(c) for m, c in got.terms.items()}
+        assert types == {m: type(c) for m, c in expected.terms.items()}
+        for c in got.terms.values():
+            assert c != 0 and (type(c) is int) == (c.denominator == 1)
+
+    routes = record_routes(monkeypatch)
+    seen = set()
+    for a in operands:
+        assert_normalized(-a, LaurentPolynomial(ctx, {m: -c for m, c in a.terms.items()}))
+        for b in operands + [-a]:
+            routes.clear()
+            product = a * b
+            seen.add((tuple(routes) or "single term") if a.terms and b.terms else "zero")
+            assert_normalized(product, LaurentPolynomial(ctx, sparse_mul(a.terms, b.terms)))
+            total = dict(a.terms)
+            for m, c in b.terms.items():
+                total[m] = total.get(m, 0) + c
+            assert_normalized(a + b, LaurentPolynomial(ctx, total))
+    assert seen == {("dense",), ("box", "sparse"), ("sparse",), "single term", "zero"}
+
+
 def grid(ctx, coeff, spans):
     """Every monomial with exponents in the given per-variable ranges, times coeff."""
     monos = [()]
@@ -423,34 +540,34 @@ def test_laurent_mul_takes_the_dense_route_by_size(monkeypatch):
     square = grid(ctx, lambda m: 1, [(0, 15), (0, 15)])
     factor = LaurentPolynomial(ctx, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
     expected = {(0, 0): 1, (16, 0): -1, (0, 16): -1, (16, 16): 1}
-    # 256 pairs spread over a 1501 x 1501 box stay on the sparse loop
+    # exponents 0, 100, ..., 1500 in x and in y lie on a step-100 lattice, so
+    # their 256 pairs fill a 16 x 16 box; x exponents 0, 101, 200, 301, ...
+    # have offsets of gcd 1 and need a 1502 x 16 box, so they stay sparse
     spread_x = LaurentPolynomial(ctx, {(100 * i, 0): i + 1 for i in range(16)})
+    ragged_x = LaurentPolynomial(ctx, {(100 * i + i % 2, 0): i + 1 for i in range(16)})
     spread_y = LaurentPolynomial(ctx, {(0, 100 * j): j - 20 for j in range(16)})
     small = LaurentPolynomial(ctx, {(0, 0): 2, (1, -1): 3})
+    one_term = LaurentPolynomial(ctx, {(-3, 5): Fraction(-7, 2)})
 
-    routes = []
-    real_sparse, real_dense = fields.sparse_mul, fields.kronecker_mul
-
-    def sparse(a, b):
-        routes.append("sparse")
-        return real_sparse(a, b)
-
-    def dense(a, b, max_cells):
-        out = real_dense(a, b, max_cells)
-        routes.append("box" if out is None else "dense")
-        return out
-
-    monkeypatch.setattr(fields, "sparse_mul", sparse)
-    monkeypatch.setattr(fields, "kronecker_mul", dense)
+    routes = record_routes(monkeypatch)
     assert (square * factor).terms == expected
     assert routes == ["dense"]
     routes.clear()
     product = spread_x * spread_y
+    assert routes == ["dense"]
+    assert product.terms == sparse_mul(spread_x.terms, spread_y.terms)
+    routes.clear()
+    product = ragged_x * spread_y
     assert routes == ["box", "sparse"]
-    assert product.terms == real_sparse(spread_x.terms, spread_y.terms)
+    assert product.terms == sparse_mul(ragged_x.terms, spread_y.terms)
     routes.clear()
     small * small
     assert routes == ["sparse"]
+    routes.clear()
+    # a single-term operand shifts and scales the other: neither route runs
+    for a, b in ((one_term, square), (square, one_term), (one_term, one_term)):
+        assert (a * b).terms == LaurentPolynomial(ctx, sparse_mul(a.terms, b.terms)).terms
+    assert routes == []
 
 
 def test_exceptional_route_products_agree_on_both_routes(monkeypatch):
@@ -465,15 +582,15 @@ def test_exceptional_route_products_agree_on_both_routes(monkeypatch):
 
     monkeypatch.setattr(fields, "kronecker_mul", recording)
     dims.verify_series("exceptional")
-    # route forming (12) and the factored partition check (1)
-    assert len(operands) == 13
+    # route forming (15) and the factored partition check (5)
+    assert len(operands) == 20
     # the expanded checks, which test_dims keeps as the reference for the
     # factored ones, cross-multiply the largest operands: the series over
-    # SymbolicField (12), its partition check (14) and catalog equalities (6)
+    # SymbolicField (15), its partition check (16) and catalog equalities (8)
     shown = dims._exceptional_values(SymbolicField)
     assert dims.partition_holds(shown.table, shown.dim_z)
     assert [a == b for a, b in zip(shown.routes, shown.catalog)] == [False, True, False, False]
-    assert len(operands) == 13 + 12 + 14 + 6
+    assert len(operands) == 20 + 15 + 16 + 8
     assert max(max(len(a), len(b)) for a, b, _ in operands) == 1773
     for a, b, out in operands:
         assert out == sparse_mul(a, b)
