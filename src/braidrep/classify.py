@@ -21,7 +21,7 @@ import math
 
 from .fields import SymbolicField, root_of_unity
 from .matrices import RowSpace, SquareMatrix, UniPoly, nullspace_basis, nullspace_dim, spin, vec
-from .reps import CLASSIFIED, RepSpecError, structure_report
+from .reps import CLASSIFIED, RepSpecError
 
 
 def p_poly(r, eigenvalues):
@@ -135,20 +135,6 @@ def q_oracle(rep, r, s):
     if triple != pa.scale(q):
         raise RuntimeError("triple product is not proportional to P_r(A)")
     return q
-
-
-def q_corner(rep):
-    """The (1,d) Q scalar read off the corner identity.
-
-    P_1(B) P_d(A) is supported on the single (d,d) entry, whose value is the
-    Q scalar; any other nonzero entry is an internal error.
-    """
-    eigs = list(rep.spec.eigenvalues)
-    d = rep.dim
-    m = p_poly(1, eigs).eval_matrix(rep.B) * p_poly(d, eigs).eval_matrix(rep.A)
-    if not m.zero_outside(lambda i, j: i == j == d):
-        raise RuntimeError("corner product has support off the (d,d) entry")
-    return m.entry(d, d)
 
 
 # One evaluated obstruction generator: a label, the eigenvalue indices
@@ -436,10 +422,11 @@ def westbury_dims(rep, sixth_root):
     (n1, n2, m1, m2, m3): the +1/-1 eigenspace dimensions of normalized ABA
     and the eigenspace dimensions of normalized AB at the three cube roots of
     unity (1, omega, omega^2).  Needs a backend containing a primitive cube
-    root of unity.
+    root of unity, and a classified pair: the central scalar is read off its
+    spec (delta_from_spec).
     """
     field = rep.field
-    delta = structure_report(rep).delta
+    delta = delta_from_spec(rep.spec)
     if sixth_root ** 6 != delta:
         raise ValueError("sixth_root^6 must equal the central scalar")
     inv = sixth_root.inv()

@@ -44,10 +44,6 @@ class BackendMismatch(TypeError):
     """Raised when scalars from different field backends are combined."""
 
 
-class SpecializationError(ValueError):
-    """Raised when a variable assignment is incomplete or hits a zero denominator."""
-
-
 class ParseError(ValueError):
     pass
 
@@ -827,44 +823,6 @@ def root_of_unity(field, order):
             if cand * cand == trace * cand - one:
                 return cand
     raise ValueError("field contains no primitive root of order %d" % order)
-
-
-def specialize(scalar, assignment, target):
-    """Evaluate a symbolic scalar under {variable name: Scalar in target field}.
-
-    Ring homomorphism on the polynomial level; raises SpecializationError if a
-    variable is missing, a variable value is zero while a negative power occurs,
-    or the denominator evaluates to zero.
-    """
-    field = scalar.field
-    if not isinstance(field, SymbolicField):
-        raise SpecializationError("specialize expects a symbolic scalar")
-    for name in field.context.names:
-        if name not in assignment:
-            raise SpecializationError("no value for variable %r" % name)
-        if assignment[name].field != target:
-            raise BackendMismatch("assignment value for %r is not in the target field" % name)
-    num, den = scalar.value
-    den_val = _eval_poly(den, field.context, assignment, target)
-    if den_val.is_zero():
-        raise SpecializationError("denominator vanishes under this assignment")
-    num_val = _eval_poly(num, field.context, assignment, target)
-    return num_val / den_val
-
-
-def _eval_poly(p, context, assignment, target):
-    total = target.zero
-    for mono, coeff in p.sorted_terms():
-        term = target.const(coeff)
-        for name, e in zip(context.names, mono):
-            if e == 0:
-                continue
-            base = assignment[name]
-            if base.is_zero() and e < 0:
-                raise SpecializationError("negative power of zero for variable %r" % name)
-            term = term * base**e
-        total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Exact dense linear algebra over the scalar backends.
 
 Everything here works for any field object from :mod:`braidrep.fields`:
-rationals, rational functions, or number fields.  Sizes stay tiny (at most
-8x8), so the algorithms favour exactness and clarity over asymptotics.
-Every elimination (determinants, ranks, nullspaces, inverses, minimal
-polynomials) goes through one kernel, the incremental reduced echelon form
-RowSpace; det reads its pivots off it, and spin grows the orbit of a vector
-under linear maps in it.  UniPoly calls the polynomial kernels of
-braidrep.fields.
+rationals, rational functions, or number fields.  Square matrices stay
+tiny (at most 8x8), and the widest system reduced is the 2d^2 x d^2
+intertwiner system (50x25 at d = 5), so the algorithms favour exactness and
+clarity over asymptotics.  Every elimination (determinants, ranks,
+nullspaces, inverses) goes through one kernel, the incremental reduced
+echelon form RowSpace; det reads its pivots off it, and spin grows the
+orbit of a vector under linear maps in it.  UniPoly calls the polynomial
+kernels of braidrep.fields.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 import operator
 
-from .fields import BackendMismatch, Scalar, horner, poly_divmod, poly_mul, square_and_multiply
+from .fields import BackendMismatch, Scalar, horner, poly_mul
 
 MIN_DIM = 2
 MAX_DIM = 8
@@ -50,11 +51,6 @@ class SquareMatrix:
     def identity(cls, field, n):
         one, zero = field.one, field.zero
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field, n):
-        zero = field.zero
-        return cls(field, [[zero] * n for _ in range(n)])
 
     @classmethod
     def from_function(cls, field, n, fn):
@@ -105,17 +101,6 @@ class SquareMatrix:
         if not isinstance(c, Scalar):
             c = self.field.const(c)
         return SquareMatrix(self.field, [[c * x for x in r] for r in self.rows])
-
-    def trace(self):
-        t = self.field.zero
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
-        return t
-
-    def power(self, k):
-        if k < 0:
-            return self.inverse().power(-k)
-        return square_and_multiply(self, k, SquareMatrix.identity(self.field, self.dim))
 
     def det(self):
         """Product of the pivots met while the rows are reduced in order,
@@ -212,71 +197,16 @@ class UniPoly:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def is_monic(self):
-        return self.degree >= 0 and self.coeffs[-1] == self.field.one
-
     def __mul__(self, other):
         return UniPoly(self.field, poly_mul(self.coeffs, other.coeffs, self.field.zero))
-
-    def eval_scalar(self, x):
-        return horner(self.coeffs, x)
 
     def eval_matrix(self, m):
         ident = SquareMatrix.identity(self.field, m.dim)
         return horner([ident.scale(c) for c in self.coeffs], m)
 
-    def divides(self, other):
-        _, rem = other.divmod(self)
-        return rem.degree < 0
-
-    def divmod(self, divisor):
-        if divisor.degree < 0:
-            raise ZeroDivisionError("division by zero polynomial")
-        quo, rem = poly_divmod(self.coeffs, divisor.coeffs)
-        return UniPoly(self.field, quo), UniPoly(self.field, rem)
-
     def __repr__(self):
         # coefficients in ascending order
         return "UniPoly(%s)" % ", ".join(c.render() for c in self.coeffs)
-
-
-def char_poly(m):
-    """Characteristic polynomial det(tI - M) by the Faddeev-LeVerrier recurrence."""
-    field = m.field
-    n = m.dim
-    coeffs = [field.zero] * (n + 1)
-    coeffs[n] = field.one
-    ident = SquareMatrix.identity(field, n)
-    mk = SquareMatrix.zeros(field, n)
-    c = field.one
-    for k in range(1, n + 1):
-        mk = m * (mk + ident.scale(c))
-        c = -(mk.trace() / field.const(k))
-        coeffs[n - k] = c
-    return UniPoly(field, coeffs)
-
-
-def min_poly(m):
-    """Monic minimal polynomial: first linear dependency among I, M, M^2, ...
-
-    Each power is reduced as vec(M^k) tagged with the unit vector e_k; once
-    the vec part reduces to zero, the tag part holds the coefficients of a
-    polynomial that kills M, with leading coefficient 1 at t^k.
-    """
-    field = m.field
-    n = m.dim
-    square = n * n
-    space = RowSpace(field, square + n + 1)
-    power = SquareMatrix.identity(field, n)
-    # Cayley-Hamilton: a dependency turns up by k = n
-    for k in range(n + 1):
-        tag = [field.zero] * (n + 1)
-        tag[k] = field.one
-        v = space.reduce(vec(power) + tag)
-        if all(x.is_zero() for x in v[:square]):
-            return UniPoly(field, v[square:])
-        space.insert(v)
-        power = power * m
 
 
 def rref(field, rows):
@@ -286,11 +216,6 @@ def rref(field, rows):
     """
     space = RowSpace(field, len(rows[0]) if rows else 0, rows)
     return space.rows, space.pivots
-
-
-def matrix_rank(m):
-    reduced, _ = rref(m.field, m.rows)
-    return len(reduced)
 
 
 def nullspace_basis(field, rows, ncols):
@@ -337,7 +262,7 @@ class RowSpace:
     """Incrementally maintained row space in reduced echelon form.
 
     The package's one elimination routine: rref, nullspaces, inverses,
-    minimal polynomials and number-field inversion all reduce through it.
+    determinants and number-field inversion all reduce through it.
     insert() returns True when the vector enlarged the span.  The orbit
     closures (spin, and the span of words in braidrep.classify) insert one
     candidate at a time; many are rejected, and the incremental reduction

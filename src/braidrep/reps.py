@@ -14,7 +14,6 @@ reported identities are stated in rescaling-invariant form (no radicals are
 ever constructed).
 """
 
-from fractions import Fraction
 import json
 import math
 
@@ -25,7 +24,7 @@ from .fields import (
     SymbolicField,
     VarContext,
 )
-from .matrices import SquareMatrix, dot, nullspace_basis
+from .matrices import SquareMatrix
 
 CLASSIFIED = "classified"
 BINOMIAL = "binomial"
@@ -99,11 +98,6 @@ class RepSpec:
 
     def eigenvalue_product(self):
         return math.prod(self.eigenvalues[1:], start=self.eigenvalues[0])
-
-    def binomial_constant(self):
-        if self.family != BINOMIAL:
-            raise RepSpecError("not a binomial spec")
-        return self.eigenvalues[0] * self.eigenvalues[-1]
 
 
 class Rep:
@@ -229,19 +223,17 @@ def build_rep(spec):
     return Rep(spec, a, b)
 
 
-def build_binomial_rep(size, params, c=None):
+def build_binomial_rep(size, params):
     """Binomial-coefficient family on `size` basis vectors.
 
-    params is lambda_0..lambda_{size-1} with lambda_i*lambda_{bar i} = c,
-    bar i = size-1-i.  A_ij = C(bar i, bar j) lambda_j, B_ij =
+    params is lambda_0..lambda_{size-1} with lambda_i*lambda_{bar i} constant
+    (RepSpec checks it), bar i = size-1-i.  A_ij = C(bar i, bar j) lambda_j, B_ij =
     (-1)^(i+j) C(i, j) lambda_{bar i} with 0-based indices.
     """
     params = tuple(params)
     if len(params) != size:
         raise RepSpecError("need exactly one parameter per basis vector")
     spec = RepSpec(BINOMIAL, params)
-    if c is not None and c != spec.binomial_constant():
-        raise RepSpecError("constant does not match the parameter products")
     field = spec.field
     n = size - 1
 
@@ -392,88 +384,6 @@ def structure_report(rep):
     return report
 
 
-def verify_lemma_identities(rep):
-    """The basic consequences of the braid relation, checked by multiplication.
-
-    Returns a dict of booleans: conjugation by ABA swaps A and B; the
-    quotient identities ABA(AB)^-1 = B and BAB(BA)^-1 = A; (ABA)^2 is the
-    scalar delta with (ABA)^-1 = delta^-1 ABA; and, when the eigenvalues are
-    pairwise distinct, ABA maps each eigenvector of A to an eigenvector of B
-    with the same eigenvalue (None when eigenvalues repeat).
-    """
-    a, b, d = rep.A, rep.B, rep.dim
-    field = rep.field
-    aba = a * b * a
-    out = {}
-    aba_inv = aba.inverse()
-    out["conjugation_swaps"] = (aba * a * aba_inv == b) and (aba * b * aba_inv == a)
-    out["quotient_identities"] = (
-        aba * (a * b).inverse() == b and (b * a * b) * (b * a).inverse() == a
-    )
-    delta = (aba * aba).scalar_value()
-    out["center_scalar"] = delta is not None and aba_inv == aba.scale(delta.inv())
-
-    eigs = rep.spec.eigenvalues
-    distinct = all(
-        eigs[i] != eigs[j] for i in range(d) for j in range(i + 1, d)
-    )
-    if not distinct:
-        out["eigenvector_transport"] = None
-        return out
-    transport = True
-    ident = SquareMatrix.identity(field, d)
-    for i in range(d):
-        shifted = a - ident.scale(eigs[i])
-        basis = nullspace_basis(field, shifted.rows, d)
-        if len(basis) != 1:
-            transport = False
-            break
-        v = basis[0]
-        image = [dot(row, v) for row in aba.rows]
-        b_image = [dot(row, image) for row in b.rows]
-        if any(b_image[k] != eigs[i] * image[k] for k in range(d)):
-            transport = False
-            break
-    out["eigenvector_transport"] = transport
-    return out
-
-
-def verify_skew_criterion(a, s, c):
-    """Sufficient criterion for the braid relation from a skew involution.
-
-    a must be upper triangular and s skew-diagonal with s^2 = c*I; sets
-    B = s a s^-1 and tests (i) (BA)_{ij} = 0 for i+j > d+1 and (ii)
-    lambda_i (BA)_{i, bar i} = kappa * s_{i, bar i} for a single constant
-    kappa.  Condition (ii) makes ABA a scalar multiple of s, which is what
-    forces BAB = S(ABA)S^-1 = ABA; the scalar need not equal c itself (for
-    the binomial family it is (-1)^(dim-1) * c).  When both hold the braid
-    relation is certified by direct multiplication (an internal failure there
-    raises, it cannot happen if the criterion is sound).
-    """
-    d = a.dim
-    field = a.field
-    if not a.zero_outside(lambda i, j: i <= j):
-        raise ValueError("first matrix must be upper triangular")
-    if not s.zero_outside(lambda i, j: i + j == d + 1):
-        raise ValueError("conjugator must be skew-diagonal")
-    if c.is_zero():
-        raise ValueError("conjugator squared scalar must be nonzero")
-    if s * s != SquareMatrix.identity(field, d).scale(c):
-        raise ValueError("conjugator squared must be the given scalar")
-    b = s * a * s.inverse()
-    ba = b * a
-    if not ba.zero_outside(lambda i, j: i + j <= d + 1):
-        return False
-    kappa = a.entry(1, 1) * ba.entry(1, d) / s.entry(1, d)
-    for i in range(2, d + 1):
-        lhs = a.entry(i, i) * ba.entry(i, d + 1 - i)
-        if lhs != kappa * s.entry(i, d + 1 - i):
-            return False
-    if a * b * a != b * a * b:
-        raise ValueError("criterion hypotheses held but the braid relation failed")
-    return True
-
-
 def rescale_basis(rep, diag):
     """Conjugate by diag(diag); entries must be nonzero and palindromic."""
     diag = list(diag)
@@ -494,26 +404,6 @@ def rescale_basis(rep, diag):
         )
 
     return Rep(rep.spec, conj(rep.A), conj(rep.B))
-
-
-def binomial_identity_check(d):
-    """Exact integer check of the alternating binomial convolution identity.
-
-    sum_k (-1)^(i+k) C(i,k) C(d-k, d-j) = (-1)^i C(d-i, j) for 0<=i,j<=d.
-    The right side vanishes exactly when i+j > d, which is what makes the
-    product BA of the binomial pair supported on and above the skew diagonal.
-    """
-    if d > 12:
-        raise ValueError("identity check capped at 12")
-    for i in range(d + 1):
-        for j in range(d + 1):
-            total = sum(
-                (-1) ** (i + k) * math.comb(i, k) * math.comb(d - k, d - j)
-                for k in range(d + 1)
-            )
-            if total != (-1) ** i * math.comb(d - i, j):
-                return False
-    return True
 
 
 # --- serialization -----------------------------------------------------------

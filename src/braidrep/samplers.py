@@ -97,24 +97,3 @@ def central_unit_spec(d, rng, field=None, bound=10):
         g = field.const(rng.choice((1, -1)))
         return solved_classified_spec([l1, l2, l3, l4], g)
     raise ValueError("classified family covers dimensions 2..5, got %d" % d)
-
-
-def random_binomial_params(size, rng, field=None, bound=10):
-    """Parameter list lambda_0..lambda_{size-1} with constant opposite products."""
-    if field is None:
-        field = RationalField()
-    n = size - 1
-    if size % 2 == 1:
-        mid = field.const(small_fraction(rng, bound))
-        c = mid * mid
-    else:
-        c = field.const(small_fraction(rng, bound))
-        mid = None
-    params = [None] * size
-    for i in range(size // 2):
-        x = field.const(small_fraction(rng, bound))
-        params[i] = x
-        params[n - i] = c / x
-    if mid is not None:
-        params[size // 2] = mid
-    return params, c

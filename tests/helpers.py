@@ -9,6 +9,7 @@ from braidrep.fields import (
     VarContext,
     cyclotomic_field,
 )
+from braidrep.samplers import small_fraction
 
 
 def random_fraction(rng, span=6):
@@ -79,3 +80,24 @@ def backend_fixtures():
         SymbolicField(VarContext(("l1", "l2", "g"))),
         cyclotomic_field(6),
     ]
+
+
+def random_binomial_params(size, rng, field=None, bound=10):
+    """Parameter list lambda_0..lambda_{size-1} with constant opposite products."""
+    if field is None:
+        field = RationalField()
+    n = size - 1
+    if size % 2 == 1:
+        mid = field.const(small_fraction(rng, bound))
+        c = mid * mid
+    else:
+        c = field.const(small_fraction(rng, bound))
+        mid = None
+    params = [None] * size
+    for i in range(size // 2):
+        x = field.const(small_fraction(rng, bound))
+        params[i] = x
+        params[n - i] = c / x
+    if mid is not None:
+        params[size // 2] = mid
+    return params, c

@@ -20,7 +20,6 @@ from braidrep.classify import (
     is_simple,
     obstruction_generators,
     p_poly,
-    q_corner,
     q_from_spec,
     q_oracle,
     sl2z_flags,
@@ -31,6 +30,7 @@ from braidrep.fields import (
     NumberField,
     RationalField,
     cyclotomic_field,
+    horner,
 )
 from braidrep import matrices
 from braidrep.matrices import SquareMatrix, dot, nullspace_basis, nullspace_dim
@@ -50,6 +50,8 @@ from braidrep.samplers import (
     degenerate_classified_spec,
     random_classified_spec,
 )
+
+from oracles import q_corner
 
 
 Q = RationalField()
@@ -102,10 +104,10 @@ def test_p_poly_is_monic_of_degree_dim_minus_one():
     for r in (1, 2, 3, 4):
         poly = p_poly(r, vals)
         assert poly.degree == 3
-        assert poly.is_monic()
+        assert poly.coeffs[-1] == Q.one
         # evaluates to zero at every eigenvalue except the kept one
         for i, lam in enumerate(vals, start=1):
-            assert (poly.eval_scalar(lam) == Q.zero) == (i != r)
+            assert (horner(poly.coeffs, lam) == Q.zero) == (i != r)
 
 
 def test_p_poly_of_a_has_rank_one():

@@ -107,6 +107,17 @@ def test_reducible_higher_degree_modulus_is_an_input_error(argv):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.xfail(strict=True, reason="a modulus of degree 5 or more is trusted while "
+                   "every eigenvalue is a unit, so the verdicts come from a ring that is not a field")
+def test_reducible_quintic_with_unit_eigenvalues_is_an_input_error(capsys):
+    code, _, err = run_cli(capsys, [
+        "classify", "--dim", "2", "--modulus", "z^5+z^3+2*z^2+2", "--eig", "z", "--eig", "1",
+        "--oracle", "burnside",
+    ])
+    assert code == 1
+    assert "reducible" in err
+
+
 def test_construct_binomial_family(capsys):
     code, out, _ = run_cli(capsys, [
         "construct", "--family", "binomial", "--eig", "1", "--eig", "2", "--eig", "4",

@@ -14,14 +14,12 @@ from braidrep.fields import (
     NumberField,
     ParseError,
     RationalField,
-    SpecializationError,
     SymbolicField,
     VarContext,
     ZeroDivisorError,
     cyclotomic_field,
     kronecker_mul,
     sparse_mul,
-    specialize,
 )
 
 from helpers import (
@@ -31,6 +29,7 @@ from helpers import (
     random_rf,
     random_scalar,
 )
+from oracles import SpecializationError, specialize
 
 TRIPLES = 500
 

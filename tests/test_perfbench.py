@@ -1,6 +1,8 @@
 """The benchmark patches braidrep by name and checks scan output against a
-recorded reference; both must keep holding."""
+recorded reference; both must keep holding.  The library holds only what a
+command or the benchmark runs."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -10,16 +12,22 @@ import pytest
 
 from braidrep import cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 SCAN_REFERENCE = PERFBENCH / "scan_reference.json"
 REFERENCE = json.loads(SCAN_REFERENCE.read_text())
 
 
-def test_traced_names_resolve():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    tracing = load_tracing()
     for mod_name, attr, _ in tracing.TRACED:
         module = importlib.import_module("braidrep." + mod_name)
         if "." in attr:
@@ -41,3 +49,26 @@ def test_scan_matches_recorded_reference(entry, capsys):
             "--seed", seed, "--kind", kind, "--oracle", "burnside"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == REFERENCE["csv"][entry] + "\n"
+
+
+def test_every_library_definition_is_reached_from_library_code():
+    # a top-level def or class that only tests reach belongs in
+    # tests/oracles.py or tests/helpers.py; the names the benchmark traces
+    # stay, and westbury_dims is to fill classify --membership's westbury key
+    allowed = {attr for _, attr, _ in load_tracing().TRACED} | {"westbury_dims"}
+    tops = [
+        node for path in sorted((ROOT / "src" / "braidrep").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+    ]
+    used = [
+        {getattr(ref, "id", None) or getattr(ref, "attr", None) or ref.name
+         for ref in ast.walk(node)
+         if isinstance(ref, (ast.Name, ast.Attribute, ast.alias))}
+        for node in tops
+    ]
+    stray = [
+        node.name for node in tops
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in allowed
+        and not any(node.name in refs for other, refs in zip(tops, used) if other is not node)
+    ]
+    assert stray == []

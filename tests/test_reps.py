@@ -14,7 +14,6 @@ from braidrep.reps import (
     Rep,
     RepSpec,
     RepSpecError,
-    binomial_identity_check,
     build_binomial_rep,
     build_rep,
     rep_from_json,
@@ -23,11 +22,12 @@ from braidrep.reps import (
     structure_report,
     symbolic_classified_spec,
     verify_braid,
-    verify_lemma_identities,
     verify_ordered_triangular,
-    verify_skew_criterion,
 )
-from braidrep.samplers import random_binomial_params, random_classified_spec
+from braidrep.samplers import random_classified_spec
+
+from helpers import random_binomial_params
+from oracles import binomial_identity_check, verify_lemma_identities, verify_skew_criterion
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -169,16 +169,10 @@ def test_binomial_2x2():
 @pytest.mark.parametrize("size", [3, 4, 5, 6, 7, 8])
 def test_binomial_sizes_braid(size):
     rng = random.Random(7000 + size)
-    params, c = random_binomial_params(size, rng, bound=5)
-    rep = build_binomial_rep(size, params, c=c)
+    params, _ = random_binomial_params(size, rng, bound=5)
+    rep = build_binomial_rep(size, params)
     assert verify_braid(rep)
     assert verify_ordered_triangular(rep)
-
-
-def test_binomial_constant_mismatch_rejected():
-    q = RationalField()
-    with pytest.raises(RepSpecError):
-        build_binomial_rep(2, [q.const(6), q.const(2)], c=q.const(5))
 
 
 def test_binomial_identity_through_12():
@@ -242,7 +236,7 @@ def test_skew_criterion_on_binomial_family():
     rng = random.Random(11)
     for size in (3, 4, 5):
         params, c = random_binomial_params(size, rng, bound=5)
-        rep = build_binomial_rep(size, params, c=c)
+        rep = build_binomial_rep(size, params)
         field = rep.field
         n = size - 1
 
@@ -346,8 +340,8 @@ def test_json_round_trip_rational_and_cyclotomic():
 def test_json_round_trip_binomial():
     rng = random.Random(17)
     params, c = random_binomial_params(4, rng, bound=5)
-    rep = build_binomial_rep(4, params, c=c)
+    rep = build_binomial_rep(4, params)
     back = rep_from_json(json.dumps(rep_to_json_dict(rep), indent=2))
     assert back.A == rep.A and back.B == rep.B
     assert back.spec.family == BINOMIAL
-    assert back.spec.binomial_constant() == c
+    assert back.spec.eigenvalues[0] * back.spec.eigenvalues[-1] == c
