@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: multivariate Laurent polynomials, rational-function
-pairs, rationals, and algebraic number fields Q[x]/(m).
+"""Exact scalar arithmetic: rational-function pairs, rationals, and algebraic
+number fields Q[x]/(m), on the Laurent polynomials of braidrep.laurent.
 
 Every scalar belongs to exactly one field backend; mixing backends raises
 BackendMismatch. Rational-function pairs are reduced only by extracting monomial
@@ -16,36 +16,20 @@ Every univariate-polynomial loop is one of three kernels on ascending
 coefficient sequences: poly_mul (schoolbook product), poly_divmod (division
 by a unit-led divisor) and horner (evaluation at a scalar, or at a matrix
 when the coefficients are scalar matrices).
-
-A Laurent product takes one of three routes, chosen by input size alone.  A
-single-term operand shifts and scales the other.  With n1*n2 term pairs at
-least DENSE_MIN_PAIRS and an exponent box of at most n1*n2 cells,
-kronecker_mul packs each operand into one int and lets a single int product
-form every coefficient (Kronecker substitution); the box lies on the exponent
-lattice, a cell per (e - low) / step with the step the gcd of both operands'
-offsets per variable, and memoryview.cast reads the product's slots so that
-only nonzero cells become terms.  Every other product, and the tests'
-reference for the dense one, is sparse_mul, the term-pair loop.  Products
-and sums of int coefficients stay ints and a negation keeps each coefficient's
-type, so these and exact divisions by a term go through one trusted
-constructor that skips the normalizing pass.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product, repeat
-from math import gcd, isqrt, lcm, prod
-from operator import add, floordiv, mod, mul, neg, sub
+from math import isqrt, lcm
 import re
-import sys
 
-
-class BackendMismatch(TypeError):
-    """Raised when scalars from different field backends are combined."""
-
-
-class ParseError(ValueError):
-    pass
+from .laurent import (
+    BackendMismatch,
+    LaurentPolynomial,
+    ParseError,
+    VarContext,
+    _parse_rf_string,
+    parse_polynomial,
+)
 
 
 class ZeroDivisorError(ZeroDivisionError, ValueError):
@@ -53,294 +37,7 @@ class ZeroDivisorError(ZeroDivisionError, ValueError):
     modulus was reducible, so the input was not a field."""
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-@dataclass(frozen=True)
-class VarContext:
-    """Ordered, immutable set of distinct variable names."""
-
-    names: tuple
-
-    def __post_init__(self):
-        if not isinstance(self.names, tuple):
-            object.__setattr__(self, "names", tuple(self.names))
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("variable names must be distinct")
-        for n in self.names:
-            if not _NAME_RE.fullmatch(n):
-                raise ValueError("bad variable name: %r" % (n,))
-
-    def index(self, name):
-        return self.names.index(name)
-
-    def __len__(self):
-        return len(self.names)
-
-
 _NO_VARS = VarContext(())
-
-
-class LaurentPolynomial:
-    """Sparse Laurent polynomial: {exponent tuple: nonzero coefficient}, an
-    integral coefficient stored as an int and any other as a Fraction."""
-
-    __slots__ = ("context", "terms")
-
-    def __init__(self, context, terms):
-        self.context = context
-        self.terms = {
-            m: c.numerator if c.denominator == 1 else c for m, c in terms.items() if c != 0
-        }
-
-    @classmethod
-    def _trusted(cls, context, terms):
-        """A polynomial on terms that are already normalized: nonzero, and an
-        int exactly when integral."""
-        out = cls.__new__(cls)
-        out.context, out.terms = context, terms
-        return out
-
-    def _formed(self, terms, a, b):
-        """A polynomial on the nonzero terms of a sum or product of the terms
-        a and b: trusted when every coefficient of a and b is an int, as the
-        sums and products of ints are, else normalized."""
-        if Fraction in map(type, a.values()) or Fraction in map(type, b.values()):
-            return LaurentPolynomial(self.context, terms)
-        return LaurentPolynomial._trusted(self.context, terms)
-
-    @classmethod
-    def const(cls, context, value):
-        value = Fraction(value)
-        if value == 0:
-            return cls(context, {})
-        return cls(context, {(0,) * len(context): value})
-
-    @classmethod
-    def var(cls, context, name):
-        mono = [0] * len(context)
-        mono[context.index(name)] = 1
-        return cls(context, {tuple(mono): Fraction(1)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_one(self):
-        return self.terms == {(0,) * len(self.context): Fraction(1)}
-
-    def _check(self, other):
-        if self.context != other.context:
-            raise BackendMismatch("polynomials from different variable contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return self._formed(out, self.terms, other.terms)
-
-    def __neg__(self):
-        # a negated coefficient stays nonzero, and integral exactly when it was
-        terms = self.terms
-        return LaurentPolynomial._trusted(self.context, dict(zip(terms, map(neg, terms.values()))))
-
-    def __mul__(self, other):
-        self._check(other)
-        a, b = self.terms, other.terms
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:
-            # one term shifts and scales the other operand: no pair loop
-            [(mono, coeff)] = a.items()
-            out = dict(zip(_shifted(b, mono), map(mul, b.values(), repeat(coeff))))
-        else:
-            pairs = len(a) * len(b)
-            # the cheap length test first: small products never size a box
-            out = kronecker_mul(a, b, pairs) if pairs >= DENSE_MIN_PAIRS else None
-            if out is None:
-                out = sparse_mul(a, b)
-        return self._formed(out, a, b)
-
-    def scale(self, value):
-        value = Fraction(value)
-        return LaurentPolynomial(self.context, {m: c * value for m, c in self.terms.items()})
-
-    def divide_by_term(self, coeff, mono):
-        """self / (coeff * x^mono) in one pass over the terms: exact int //
-        when coeff is an int dividing every coefficient, else Fractions."""
-        terms = self.terms
-        keys = _shifted(terms, tuple(map(neg, mono)))
-        if type(coeff) is int and not any(map(mod, terms.values(), repeat(coeff))):
-            # nonzero ints need no normalizing
-            return LaurentPolynomial._trusted(
-                self.context, dict(zip(keys, map(floordiv, terms.values(), repeat(coeff)))))
-        return LaurentPolynomial(
-            self.context, dict(zip(keys, map(mul, terms.values(), repeat(Fraction(1, coeff))))))
-
-    def sorted_terms(self):
-        # graded-lex: total degree, then the exponent tuple; the keys are distinct
-        terms = self.terms
-        return [(m, c) for _, m, c in sorted(zip(map(sum, terms), terms, terms.values()),
-                                             reverse=True)]
-
-    def leading_coeff(self):
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[max(zip(map(sum, self.terms), self.terms))[1]]
-
-    def content(self):
-        """(signed content, monomial content): sign of the leading coefficient times
-        gcd(numerators)/lcm(denominators), an int when every coefficient is an
-        int, and the per-variable minimum exponents."""
-        coeffs = self.terms.values()
-        if not coeffs:
-            return 1, (0,) * len(self.context)
-        try:
-            content = gcd(*coeffs)  # math.gcd refuses a Fraction
-        except TypeError:
-            content = Fraction(gcd(*(c.numerator for c in coeffs)),
-                               lcm(*(c.denominator for c in coeffs)))
-        if self.leading_coeff() < 0:
-            content = -content
-        return content, tuple(map(min, zip(*self.terms)))
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self.context == other.context and self.terms == other.terms
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        names = self.context.names
-        out = []
-        for mono, coeff in self.sorted_terms():
-            factors = "*".join([name if e == 1 else f"{name}^{e}"
-                                for name, e in zip(names, mono) if e])
-            # an int or a Fraction formats as its plain decimal form
-            sign, mag = "+" if coeff > 0 else "-", abs(coeff)
-            if not factors:
-                out.append(f"{sign}{mag}")
-            elif mag == 1:
-                out.append(sign + factors)
-            else:
-                out.append(f"{sign}{mag}*{factors}")
-        text = "".join(out)
-        return text[1:] if text[0] == "+" else text
-
-    def __repr__(self):
-        return "LaurentPolynomial(%s)" % self.render()
-
-
-# fewest term pairs n1*n2 for which a Laurent product tries the dense route
-DENSE_MIN_PAIRS = 256
-
-
-def sparse_mul(a, b):
-    """Product of two {exponent tuple: coefficient} dicts, term pair by term pair."""
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(map(add, m1, m2))
-            s = out.get(m, 0) + c1 * c2
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return out
-
-
-def _shifted(terms, mono):
-    """The exponent tuples of terms, each plus mono."""
-    return [tuple(map(add, m, mono)) for m in terms] if any(mono) else terms
-
-
-def kronecker_mul(a, b, max_cells):
-    """Product of two {exponent tuple: coefficient} dicts by Kronecker
-    substitution, or None when the product's exponent box has more than
-    max_cells cells.
-
-    The box lies on the exponent lattice: per variable, the step is the gcd
-    of both operands' exponent offsets from their lowest exponents, a cell
-    index is (e - low) / step, and the box spans the sum of the operands'
-    index ranges.  Each operand, scaled to integers by the lcm of its
-    denominators, becomes one int with a slot per box cell, so one int
-    product forms every coefficient at once.  A slot sums at most
-    min(n1, n2) term products, and its width leaves a bit above the largest
-    such sum: adding 2^(k-1) to every k-bit slot makes each one nonnegative,
-    so no slot borrows from the next, and flipping that bit back leaves each
-    coefficient in k-bit two's complement.  A slot of 1, 2, 4 or 8 bytes is
-    read by memoryview.cast; a wider one by int.from_bytes.
-    """
-    if not a or not b:
-        return {}
-    cols_a, cols_b = list(zip(*a)), list(zip(*b))
-    lows_a, lows_b = list(map(min, cols_a)), list(map(min, cols_b))
-    steps = [gcd(*map(sub, ca, repeat(la)), *map(sub, cb, repeat(lb))) or 1
-             for ca, la, cb, lb in zip(cols_a, lows_a, cols_b, lows_b)]
-    sizes = [(max(ca) - la + max(cb) - lb) // step + 1
-             for ca, la, cb, lb, step in zip(cols_a, lows_a, cols_b, lows_b, steps)]
-    cells = prod(sizes)
-    if cells > max_cells:
-        return None
-    ints_a, scale_a = _cell_integers(a, lows_a, steps, sizes)
-    ints_b, scale_b = _cell_integers(b, lows_b, steps, sizes)
-    bound = (max(map(abs, ints_a.values())) * max(map(abs, ints_b.values()))
-             * min(len(a), len(b)))
-    width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * cells, "little")
-    packed = (_pack(ints_a, width, cells) * _pack(ints_b, width, cells) + bias) ^ bias
-    if width <= 8:
-        # the cast reads native byte order; big-endian bytes reverse the cells
-        slots = memoryview(packed.to_bytes(width * cells, sys.byteorder)).cast(
-            _SLOT_FORMATS[width])[::1 if sys.byteorder == "little" else -1]
-    else:
-        data = packed.to_bytes(width * cells, "little")
-        slots = [int.from_bytes(data[i:i + width], "little", signed=True)
-                 for i in range(0, len(data), width)]
-    # product() counts the last variable fastest, as the cells do
-    monos = product(*(range(x + y, x + y + size * step, step)
-                      for x, y, step, size in zip(lows_a, lows_b, steps, sizes)))
-    out = dict(compress(zip(monos, slots), slots))
-    den = scale_a * scale_b
-    if den != 1:
-        out = {m: Fraction(c, den) for m, c in out.items()}
-    return out
-
-
-_SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-
-def _cell_integers(terms, lows, steps, sizes):
-    """({box cell: integer coefficient}, scale) for terms times scale, the lcm
-    of their denominators; a cell counts the last variable fastest."""
-    scale = lcm(*(c.denominator for c in terms.values()))
-    out = {}
-    for mono, c in terms.items():
-        cell = 0
-        for e, lo, step, size in zip(mono, lows, steps, sizes):
-            cell = cell * size + (e - lo) // step
-        out[cell] = c.numerator * (scale // c.denominator)
-    return out, scale
-
-
-def _pack(ints, width, cells):
-    """The int whose width-byte little-endian slot i holds ints.get(i, 0)."""
-    pos = bytearray(width * cells)
-    neg = bytearray(width * cells)
-    for cell, c in ints.items():
-        start = cell * width
-        if c > 0:
-            pos[start:start + width] = c.to_bytes(width, "little")
-        else:
-            neg[start:start + width] = (-c).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def square_and_multiply(base, k, one):
@@ -823,130 +520,3 @@ def root_of_unity(field, order):
             if cand * cand == trace * cand - one:
                 return cand
     raise ValueError("field contains no primitive root of order %d" % order)
-
-
-# ---------------------------------------------------------------------------
-# parsing
-
-_TOKEN_RE = re.compile(r"\s*(\(|\)|\+|-|\*|\^|/|\d+|[A-Za-z_][A-Za-z0-9_]*)")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError("bad character at %r" % text[pos:])
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-def _parse_rf_string(context, text):
-    """Parse '(num)/(den)' or a bare polynomial; returns (num, den) polynomials."""
-    tokens = _tokenize(text)
-    if tokens and tokens[0] == "(":
-        depth = 0
-        for i, tok in enumerate(tokens):
-            if tok == "(":
-                depth += 1
-            elif tok == ")":
-                depth -= 1
-                if depth == 0:
-                    close = i
-                    break
-        else:
-            raise ParseError("unbalanced parentheses")
-        rest = tokens[close + 1 :]
-        if len(rest) >= 2 and rest[0] == "/" and rest[1] == "(":
-            if rest[-1] != ")":
-                raise ParseError("unbalanced parentheses in denominator")
-            num = _parse_poly_tokens(context, tokens[1:close])
-            den = _parse_poly_tokens(context, rest[2:-1])
-            if den.is_zero():
-                raise ParseError("zero denominator")
-            return num, den
-    num = _parse_poly_tokens(context, tokens)
-    return num, LaurentPolynomial.const(context, 1)
-
-
-def parse_polynomial(context, text):
-    return _parse_poly_tokens(context, _tokenize(text))
-
-
-def _parse_poly_tokens(context, tokens):
-    if not tokens:
-        raise ParseError("empty polynomial")
-    total = LaurentPolynomial.const(context, 0)
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        saw_sign = False
-        while i < len(tokens) and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
-            saw_sign = True
-            i += 1
-        if not first and not saw_sign:
-            raise ParseError("expected '+' or '-' between terms")
-        term, i = _parse_term(context, tokens, i)
-        total = total + (term.scale(-1) if sign < 0 else term)
-        first = False
-    return total
-
-
-def _parse_term(context, tokens, i):
-    if i >= len(tokens):
-        raise ParseError("expected a term")
-    coeff = Fraction(1)
-    factors = []
-    expect_factor = True
-    while i < len(tokens):
-        tok = tokens[i]
-        if expect_factor:
-            if tok.isdigit():
-                value = Fraction(int(tok))
-                i += 1
-                if i + 1 < len(tokens) and tokens[i] == "/" and tokens[i + 1].isdigit():
-                    den = int(tokens[i + 1])
-                    if den == 0:
-                        raise ParseError("zero denominator")
-                    value = Fraction(value.numerator, den)
-                    i += 2
-                coeff *= value
-            elif _NAME_RE.fullmatch(tok):
-                name = tok
-                power = 1
-                i += 1
-                if i < len(tokens) and tokens[i] == "^":
-                    i += 1
-                    psign = 1
-                    if i < len(tokens) and tokens[i] == "-":
-                        psign = -1
-                        i += 1
-                    if i >= len(tokens) or not tokens[i].isdigit():
-                        raise ParseError("expected an integer exponent")
-                    power = psign * int(tokens[i])
-                    i += 1
-                factors.append((name, power))
-            else:
-                raise ParseError("unexpected token %r" % tok)
-            expect_factor = False
-        elif tok == "*":
-            expect_factor = True
-            i += 1
-        else:
-            break
-    if expect_factor:
-        raise ParseError("dangling '*'")
-    mono = [0] * len(context)
-    for name, power in factors:
-        try:
-            mono[context.index(name)] += power
-        except ValueError:
-            raise ParseError("unknown variable %r" % name) from None
-    return LaurentPolynomial(context, {tuple(mono): coeff}), i

@@ -7,16 +7,21 @@ intertwiner system (50x25 at d = 5), so the algorithms favour exactness and
 clarity over asymptotics.  Every elimination (determinants, ranks,
 nullspaces, inverses) goes through one kernel, the incremental reduced
 echelon form RowSpace; det reads its pivots off it, and spin grows the
-orbit of a vector under linear maps in it.  UniPoly calls the polynomial
-kernels of braidrep.fields.
+orbit of a vector under linear maps in it.  Over the rationals RowSpace
+keeps its rows as primitive integer vectors and eliminates fraction-free,
+by cross-multiplication; over the other fields it keeps Scalar rows with
+pivot 1.  UniPoly calls the polynomial kernels of braidrep.fields.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import deque
+from fractions import Fraction
+from math import gcd, lcm
 import operator
 
-from .fields import BackendMismatch, Scalar, horner, poly_mul
+from .fields import BackendMismatch, RationalField, Scalar, horner, poly_mul
 
 MIN_DIM = 2
 MAX_DIM = 8
@@ -104,7 +109,9 @@ class SquareMatrix:
 
     def det(self):
         """Product of the pivots met while the rows are reduced in order,
-        negated once for each earlier pivot column right of a new one."""
+        negated once for each earlier pivot column right of a new one.
+        reduce returns each row at its own scale, so over Q the integer
+        rows' scale factors never reach the product."""
         space = RowSpace(self.field, self.dim)
         det = self.field.one
         for row in self.rows:
@@ -221,13 +228,14 @@ def rref(field, rows):
 def nullspace_basis(field, rows, ncols):
     """Basis of the right nullspace of the given row list, as coordinate lists."""
     space = RowSpace(field, ncols, rows)
+    reduced = space.rows
     basis = []
     for f in range(ncols):
         if f in space.pivots:
             continue
         v = [field.zero] * ncols
         v[f] = field.one
-        for row, p in zip(space.rows, space.pivots):
+        for row, p in zip(reduced, space.pivots):
             v[p] = -row[f]
         basis.append(v)
     return basis
@@ -262,51 +270,146 @@ class RowSpace:
     """Incrementally maintained row space in reduced echelon form.
 
     The package's one elimination routine: rref, nullspaces, inverses,
-    determinants and number-field inversion all reduce through it.
+    determinants and number-field inversion all reduce through it, on
+    systems as wide as the 2d^2 x d^2 intertwiner system (50x25 at d = 5).
     insert() returns True when the vector enlarged the span.  The orbit
     closures (spin, and the span of words in braidrep.classify) insert one
     candidate at a time; many are rejected, and the incremental reduction
     keeps that cheap.
+
+    Over RationalField each row is kept fraction-free (Bareiss 1968), as a
+    primitive integer vector with a positive pivot: a vector is cleared at a
+    pivot by cross-multiplication, row[p]*u - u[p]*row, and insert divides
+    each result by its content, so no gcd runs per entry operation.
+    reduce() skips those divisions, which leaves a known scale to divide
+    back out.  Over any other field a row is a Scalar list with pivot 1,
+    where the same step is u - u[p]*row.  Either way rows reads as Scalar
+    lists with pivot 1; the reduced echelon form is unique, so both give the
+    same rows, pivots and reductions.
     """
 
-    __slots__ = ("field", "ncols", "rows", "pivots")
+    __slots__ = ("field", "ncols", "pivots", "_rows", "_integer")
 
     def __init__(self, field, ncols, rows=()):
         self.field = field
         self.ncols = ncols
-        self.rows = []
         self.pivots = []
+        self._rows = []
+        self._integer = isinstance(field, RationalField)
         for row in rows:
             self.insert(row)
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, vector):
+    @property
+    def rows(self):
+        """The rows as Scalar lists with pivot 1; over Q decoded on each read."""
+        if not self._integer:
+            return self._rows
+        field = self.field
+        return [
+            [Scalar(field, Fraction(x, row[p])) for x in row]
+            for row, p in zip(self._rows, self.pivots)
+        ]
+
+    def _encoded(self, vector):
+        """The vector in the stored rows' form: its Scalars, or over Q its
+        integer numerators over one common denominator, and that denominator."""
         v = list(vector)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not c.is_zero():
-                v = [v[i] - c * row[i] for i in range(self.ncols)]
+        if len(v) != self.ncols:
+            raise ValueError(f"vector of length {len(v)} in a row space of width {self.ncols}")
+        field = self.field
+        for x in v:
+            if not isinstance(x, Scalar):
+                raise TypeError("row space entries must be Scalars")
+            if x.field is not field and x.field != field:
+                raise BackendMismatch("vector entry from a different field")
+        if not self._integer:
+            return v, None
+        values = [x.value for x in v]
+        den = lcm(*[x.denominator for x in values])
+        return [x.numerator * (den // x.denominator) for x in values], den
+
+    def _reduced(self, v, step):
+        """v less the combination of the rows that clears every pivot column,
+        one step per row; over Q up to a nonzero factor."""
+        for row, p in zip(self._rows, self.pivots):
+            v = step(v, row, p)
         return v
 
+    def _normalized(self, v):
+        """The pivot of a reduced vector and the vector in stored form, or
+        (None, v) for a zero vector."""
+        if self._integer:
+            pivot = next((i for i, x in enumerate(v) if x), None)
+            if pivot is not None:
+                v = _primitive(v if v[pivot] > 0 else [-x for x in v])
+        else:
+            pivot = next((i for i, x in enumerate(v) if not x.is_zero()), None)
+            if pivot is not None:
+                inv = v[pivot].inv()
+                v = [inv * x for x in v]
+        return pivot, v
+
+    def reduce(self, vector):
+        """The vector less the combination of the rows that clears every
+        pivot column, as Scalars."""
+        v, den = self._encoded(vector)
+        if not self._integer:
+            return self._reduced(v, _subtract)
+        # a row in reduced form is zero in the other pivot columns, so a step
+        # leaves them zero or nonzero as they were: the rows that act, and
+        # the pivots _cross scales v by, are known in advance
+        for row, p in zip(self._rows, self.pivots):
+            if v[p]:
+                den *= row[p]
+        field = self.field
+        return [Scalar(field, Fraction(x, den)) for x in self._reduced(v, _cross)]
+
     def insert(self, vector):
-        v = self.reduce(vector)
-        pivot = next((i for i in range(self.ncols) if not v[i].is_zero()), None)
+        step = _cleared if self._integer else _subtract
+        pivot, v = self._normalized(self._reduced(self._encoded(vector)[0], step))
         if pivot is None:
             return False
-        inv = v[pivot].inv()
-        v = [inv * x for x in v]
         # back-substitute into the existing rows to stay fully reduced
-        for idx in range(len(self.rows)):
-            c = self.rows[idx][pivot]
-            if not c.is_zero():
-                self.rows[idx] = [self.rows[idx][i] - c * v[i] for i in range(self.ncols)]
-        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, v)
+        rows = self._rows
+        for idx, row in enumerate(rows):
+            rows[idx] = step(row, v, pivot)
+        at = bisect(self.pivots, pivot)
+        rows.insert(at, v)
         self.pivots.insert(at, pivot)
         return True
 
-    def contains(self, vector):
-        return all(x.is_zero() for x in self.reduce(vector))
+
+def _subtract(u, row, p):
+    """u - u[p]*row: column p of u cleared by a Scalar row with pivot 1 there."""
+    c = u[p]
+    if c.is_zero():
+        return u
+    return [x - c * y for x, y in zip(u, row)]
+
+
+def _cross(u, row, p):
+    """row[p]*u - u[p]*row: column p of u cleared by an integer row with its
+    pivot there, u itself when that entry is already zero."""
+    c = u[p]
+    if not c:
+        return u
+    a = row[p]
+    return [a * x - c * y for x, y in zip(u, row)]
+
+
+def _cleared(u, row, p):
+    """_cross divided by its content, which keeps entries from growing with
+    every step."""
+    if not u[p]:
+        return u
+    return _primitive(_cross(u, row, p))
+
+
+def _primitive(v):
+    """An integer vector divided by the gcd of its entries (a zero vector as it is)."""
+    g = gcd(*v)
+    return v if g <= 1 else [x // g for x in v]

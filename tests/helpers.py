@@ -1,4 +1,4 @@
-"""Shared random generators for the exact-arithmetic test suites."""
+"""Shared random generators and kernel comparisons for the exact-arithmetic test suites."""
 
 from fractions import Fraction
 
@@ -9,7 +9,11 @@ from braidrep.fields import (
     VarContext,
     cyclotomic_field,
 )
-from braidrep.samplers import small_fraction
+from braidrep.classify import is_simple
+from braidrep.matrices import RowSpace, nullspace_basis
+from braidrep.samplers import random_classified_spec, small_fraction
+
+from oracles import FractionRowSpace, fraction_nullspace_basis
 
 
 def random_fraction(rng, span=6):
@@ -101,3 +105,26 @@ def random_binomial_params(size, rng, field=None, bound=10):
     if mid is not None:
         params[size // 2] = mid
     return params, c
+
+
+def sample_simple_specs(d, rng, count, field=None, bound=10):
+    out = []
+    while len(out) < count:
+        spec = random_classified_spec(d, rng, field=field, bound=bound)
+        if is_simple(spec).simple:
+            out.append(spec)
+    return out
+
+
+def assert_kernels_agree(field, ncols, rows, probes=()):
+    """RowSpace and the Fraction kernel agree insert by insert, and on rows,
+    pivots, rank, reduce and the nullspace basis."""
+    space, ref = RowSpace(field, ncols), FractionRowSpace(field, ncols)
+    for row in rows:
+        assert space.insert(row) == ref.insert(row)
+        assert space.rank == ref.rank
+    assert space.pivots == ref.pivots
+    assert space.rows == ref.rows
+    for v in probes:
+        assert space.reduce(v) == ref.reduce(v)
+    assert nullspace_basis(field, rows, ncols) == fraction_nullspace_basis(field, rows, ncols)

@@ -13,8 +13,16 @@
   puts BA on and above the skew diagonal.
 - q_corner <-> q_from_spec: the (1,d) Q scalar read off the corner product
   P_1(B) P_d(A).
+- FractionRowSpace, with fraction_det, fraction_nullspace_basis and
+  fraction_spin <-> RowSpace, SquareMatrix.det, nullspace_basis and spin:
+  the elimination over Scalar rows with pivot 1 that RowSpace ran over Q
+  before it kept integer rows; the reduced echelon form is unique, so both
+  give the same rows, pivots, reductions, determinants and nullspaces.
+- contains <-> RowSpace.insert: membership read off reduce, which the
+  tests use to check spans that insert built.
 """
 
+from collections import deque
 import math
 
 from braidrep.classify import p_poly
@@ -218,3 +226,104 @@ def q_corner(rep):
     if not m.zero_outside(lambda i, j: i == j == d):
         raise RuntimeError("corner product has support off the (d,d) entry")
     return m.entry(d, d)
+
+
+def contains(space, vector):
+    """True when the vector lies in the span of the RowSpace."""
+    return all(x.is_zero() for x in space.reduce(vector))
+
+
+class FractionRowSpace:
+    """Incrementally maintained row space in reduced echelon form, every
+    row a Scalar list with pivot 1 (over Q, a list of Fractions).
+
+    RowSpace's elimination as it ran over every field before rows over Q
+    became integer vectors.  insert() returns True when the vector enlarged
+    the span.
+    """
+
+    __slots__ = ("field", "ncols", "rows", "pivots")
+
+    def __init__(self, field, ncols, rows=()):
+        self.field = field
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+        for row in rows:
+            self.insert(row)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vector):
+        v = list(vector)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if not c.is_zero():
+                v = [v[i] - c * row[i] for i in range(self.ncols)]
+        return v
+
+    def insert(self, vector):
+        v = self.reduce(vector)
+        pivot = next((i for i in range(self.ncols) if not v[i].is_zero()), None)
+        if pivot is None:
+            return False
+        inv = v[pivot].inv()
+        v = [inv * x for x in v]
+        # back-substitute into the existing rows to stay fully reduced
+        for idx in range(len(self.rows)):
+            c = self.rows[idx][pivot]
+            if not c.is_zero():
+                self.rows[idx] = [self.rows[idx][i] - c * v[i] for i in range(self.ncols)]
+        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        self.rows.insert(at, v)
+        self.pivots.insert(at, pivot)
+        return True
+
+
+def fraction_det(m):
+    """Product of the pivots met while the rows are reduced in order,
+    negated once for each earlier pivot column right of a new one."""
+    space = FractionRowSpace(m.field, m.dim)
+    det = m.field.one
+    for row in m.rows:
+        v = space.reduce(row)
+        pivot = next((j for j, x in enumerate(v) if not x.is_zero()), None)
+        if pivot is None:
+            return m.field.zero
+        if sum(p > pivot for p in space.pivots) % 2:
+            det = -det
+        det = det * v[pivot]
+        space.insert(v)
+    return det
+
+
+def fraction_nullspace_basis(field, rows, ncols):
+    """Basis of the right nullspace of the given row list, as coordinate lists."""
+    space = FractionRowSpace(field, ncols, rows)
+    basis = []
+    for f in range(ncols):
+        if f in space.pivots:
+            continue
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for row, p in zip(space.rows, space.pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def fraction_spin(field, vector, maps):
+    """Orbit of a nonzero vector under linear maps, each given by its rows."""
+    space = FractionRowSpace(field, len(vector), [vector])
+    queue = deque([vector])
+    while queue and space.rank < space.ncols:
+        v = queue.popleft()
+        for rows in maps:
+            image = [dot(row, v) for row in rows]
+            if space.insert(image):
+                queue.append(image)
+                if space.rank == space.ncols:
+                    break
+    return space

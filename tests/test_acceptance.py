@@ -46,20 +46,11 @@ from braidrep.samplers import (
     small_fraction,
 )
 
-from helpers import random_binomial_params
+from helpers import random_binomial_params, sample_simple_specs
 from oracles import binomial_identity_check, char_poly, min_poly
 
 
 DIMS = (2, 3, 4, 5)
-
-
-def sample_simple_specs(d, rng, count, field=None, bound=10):
-    out = []
-    while len(out) < count:
-        spec = random_classified_spec(d, rng, field=field, bound=bound)
-        if is_simple(spec).simple:
-            out.append(spec)
-    return out
 
 
 def test_criterion_01_braid_relation_symbolic():

@@ -49,9 +49,11 @@ from braidrep.samplers import (
     central_unit_spec,
     degenerate_classified_spec,
     random_classified_spec,
+    small_fraction,
 )
 
-from oracles import q_corner
+from helpers import assert_kernels_agree, sample_simple_specs
+from oracles import contains, fraction_det, fraction_spin, q_corner
 
 
 Q = RationalField()
@@ -357,8 +359,64 @@ def test_norton_agrees_with_the_word_queue_on_every_sampled_instance():
         assert burnside_oracle(rep) == word_span_oracle(rep), spec.eigenvalues
 
 
+def recorded(monkeypatch, name, calls):
+    """Patch classify's name to append (arguments, result) of every call to calls."""
+    real = getattr(classify, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(classify, name, wrapper)
+
+
+def test_integer_rows_match_the_fraction_kernel_on_norton_instances(monkeypatch):
+    # every theta and theta^T that Norton's route reduces on the 848
+    # instances of the cross-check above, and every orbit it spins
+    systems, orbits = [], []
+    recorded(monkeypatch, "nullspace_basis", systems)
+    recorded(monkeypatch, "spin", orbits)
+    for spec in [*criterion_04_specs(), *number_field_specs()]:
+        classify.norton_orbits(build_rep(spec))
+    assert len(orbits) >= 848
+    for (field, rows, ncols), _ in systems:
+        columns = list(zip(*rows))
+        assert_kernels_agree(field, ncols, rows, probes=columns)
+        m = SquareMatrix(field, rows)
+        assert m.det() == fraction_det(m)
+    for (field, vector, maps), space in orbits:
+        ref = fraction_spin(field, vector, maps)
+        assert (space.rank, space.pivots, space.rows) == (ref.rank, ref.pivots, ref.rows)
+        for v in maps[0]:
+            assert space.reduce(v) == ref.reduce(v)
+
+
+def criterion_05_pairs():
+    """The pairs over Q of acceptance criterion 05, in its order and seeds:
+    each simple instance and a palindromic rescaling of it."""
+    for d in (2, 3, 4, 5):
+        rng = random.Random(500 + d)
+        for spec in sample_simple_specs(d, rng, 20):
+            rep = build_rep(spec)
+            half = [Q.const(small_fraction(rng)) for _ in range((d + 1) // 2)]
+            yield rep, rescale_basis(rep, half + half[: d // 2][::-1])
+
+
+def test_integer_rows_match_the_fraction_kernel_on_intertwiner_systems(monkeypatch):
+    # the 2d^2 x d^2 systems of criterion 05 over Q; its Q(zeta_5) systems
+    # keep Scalar rows, which is the Fraction kernel's own loop
+    systems = []
+    recorded(monkeypatch, "nullspace_dim", systems)
+    for rep1, rep2 in criterion_05_pairs():
+        assert hom_space_dim(rep1, rep2) == 1
+    assert len(systems) == 80
+    for (field, rows, ncols), _ in systems:
+        assert_kernels_agree(field, ncols, rows, probes=rows[::7])
+
+
 def closed_under(space, maps):
-    return all(space.contains([dot(row, v) for row in m]) for v in space.rows for m in maps)
+    return all(contains(space, [dot(row, v) for row in m]) for v in space.rows for m in maps)
 
 
 def test_norton_witness_is_an_invariant_subspace():

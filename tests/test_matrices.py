@@ -7,7 +7,15 @@ import random
 
 import pytest
 
-from braidrep.fields import RationalField, SymbolicField, VarContext, horner, poly_divmod
+from braidrep.fields import (
+    BackendMismatch,
+    RationalField,
+    SymbolicField,
+    VarContext,
+    cyclotomic_field,
+    horner,
+    poly_divmod,
+)
 from braidrep.matrices import (
     RowSpace,
     SquareMatrix,
@@ -18,8 +26,8 @@ from braidrep.matrices import (
     vec,
 )
 
-from helpers import random_fraction, random_nonzero_fraction
-from oracles import char_poly, min_poly
+from helpers import assert_kernels_agree, random_fraction, random_nonzero_fraction
+from oracles import char_poly, contains, fraction_det, min_poly
 
 
 def random_rational_matrix(field, rng, n):
@@ -200,8 +208,8 @@ def test_row_space_incremental():
     assert rs.insert(e(0, 1, 1, 0))
     assert not rs.insert(e(1, 3, 1, 0))  # sum of the first two
     assert rs.rank == 2
-    assert rs.contains(e(2, 5, 1, 0))
-    assert not rs.contains(e(0, 0, 0, 1))
+    assert contains(rs, e(2, 5, 1, 0))
+    assert not contains(rs, e(0, 0, 0, 1))
     assert rs.insert(e(0, 0, 0, 1))
     assert rs.rank == 3
 
@@ -237,7 +245,7 @@ def test_row_space_rank_known_by_construction():
         for v in vectors:
             rs.insert(v)
         assert rs.rank == r
-        assert all(rs.contains(v) for v in basis)
+        assert all(contains(rs, v) for v in basis)
         # reduced echelon form: strictly increasing pivots, each a 1 with
         # zeros elsewhere in its column and before it in its row
         assert rs.pivots == sorted(set(rs.pivots))
@@ -245,6 +253,110 @@ def test_row_space_rank_known_by_construction():
             assert row[p] == q.one
             assert all(x.is_zero() for x in row[:p])
             assert all(other[p].is_zero() for k, other in enumerate(rs.rows) if k != i)
+
+
+@pytest.mark.parametrize("field", [RationalField(), cyclotomic_field(5)], ids=repr)
+def test_row_space_refuses_a_vector_of_the_wrong_length(field):
+    # an empty space once took the first vector's length, and the integer
+    # rows' zip loops would truncate a later one silently
+    space = RowSpace(field, 3)
+    for length in (2, 4):
+        with pytest.raises(ValueError, match="width 3"):
+            space.insert([field.one] * length)
+        with pytest.raises(ValueError, match="width 3"):
+            space.reduce([field.one] * length)
+    assert space.rank == 0
+    assert space.insert([field.one, field.zero, field.one])
+    with pytest.raises(ValueError):
+        space.insert([field.one] * 4)
+    assert space.rank == 1
+
+
+def test_row_space_refuses_a_scalar_from_another_backend():
+    # the first vector of an empty space meets no stored row, so the entries
+    # themselves are checked: over Q a Q(zeta_5) entry has no denominator
+    q, k = RationalField(), cyclotomic_field(5)
+    for field, row in ((q, [k.gen, k.one]), (q, [q.one, k.one]), (k, [k.gen, q.one])):
+        space = RowSpace(field, 2)
+        with pytest.raises(BackendMismatch):
+            space.insert(row)
+        with pytest.raises(BackendMismatch):
+            space.reduce(row)
+        assert space.rank == 0
+    with pytest.raises(TypeError):
+        RowSpace(q, 2).insert([1, 2])
+
+
+HUGE = Fraction(10**30, 7**20)
+
+
+def kernel_entry(rng):
+    """Mostly small fractions of either sign, some zeros, some near 10^13."""
+    roll = rng.random()
+    if roll < 0.25:
+        return Fraction(0)
+    if roll < 0.35:
+        return HUGE * random_nonzero_fraction(rng)
+    return random_fraction(rng)
+
+
+def rational_systems(rng, count, widths, max_rank=8):
+    """Seeded row lists over Q of rank at most max_rank: full-rank and
+    rank-deficient systems with zero rows, duplicate and negated rows, in
+    shuffled order."""
+    q = RationalField()
+    for _ in range(count):
+        ncols = rng.choice(widths)
+        rank = rng.randint(1, min(ncols, max_rank))
+        basis = [[kernel_entry(rng) for _ in range(ncols)] for _ in range(rank)]
+        rows = [list(b) for b in basis]
+        for _ in range(rng.randint(0, 3)):
+            cs = [random_fraction(rng) for _ in basis]
+            rows.append([sum(c * b[j] for c, b in zip(cs, basis)) for j in range(ncols)])
+        pick = rng.choice(basis)
+        rows += [[Fraction(0)] * ncols, list(pick), [-x for x in pick]]
+        rng.shuffle(rows)
+        yield ncols, [[q.const(x) for x in row] for row in rows]
+
+
+def test_integer_rows_match_the_fraction_kernel_on_random_systems():
+    q = RationalField()
+    rng = random.Random(1968)
+    systems = [*rational_systems(rng, 120, (1, 2, 3, 4, 5, 8)),
+               *rational_systems(rng, 12, (13, 25, 50)),
+               *rational_systems(rng, 2, (25,), max_rank=25)]
+    for ncols, rows in systems:
+        probes = [[q.const(kernel_entry(rng)) for _ in range(ncols)] for _ in range(3)]
+        probes += rows[:2]
+        assert_kernels_agree(q, ncols, rows, probes)
+
+
+def test_integer_det_matches_the_fraction_kernel():
+    q = RationalField()
+    one, zero = q.one, q.zero
+    # permutation matrices: det is the sign, whatever order the pivots arrive in
+    for n in (2, 3, 4):
+        for perm in permutations(range(n)):
+            m = SquareMatrix(q, [[one if j == p else zero for j in range(n)] for p in perm])
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            assert m.det() == fraction_det(m) == q.const((-1) ** inversions)
+    rng = random.Random(1969)
+    for n in range(2, 9):
+        diag = [q.const(kernel_entry(rng) or 1) for _ in range(n)]
+        # upper and lower triangular: det is the diagonal product, pivots
+        # negative or huge
+        for upper in (True, False):
+            m = SquareMatrix.from_function(q, n, lambda i, j: (
+                diag[i - 1] if i == j
+                else q.const(kernel_entry(rng)) if (i < j) == upper else zero
+            ))
+            assert m.det() == fraction_det(m) == math.prod(diag, start=one)
+        for _, rows in rational_systems(rng, 3, (n,)):
+            # full rank or singular, with repeated rows when there are fewer than n
+            m = SquareMatrix(q, (rows * n)[:n])
+            assert m.det() == fraction_det(m)
+        m = SquareMatrix(q, [[q.const(kernel_entry(rng)) for _ in range(n)] for _ in range(n)])
+        assert m.det() == fraction_det(m)
 
 
 def test_spin_orbit_of_a_vector():
