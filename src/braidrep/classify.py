@@ -15,12 +15,12 @@ generated-algebra span oracle that knows nothing about the closed forms
 Every check is exact; nothing here tolerates approximation.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from itertools import combinations
 import math
 
 from .fields import SymbolicField, root_of_unity
-from .matrices import RowSpace, SquareMatrix, UniPoly, nullspace_basis, nullspace_dim, spin, vec
+from .matrices import SquareMatrix, UniPoly, dot, nullspace_basis, nullspace_dim, spin, times, vec
 from .reps import CLASSIFIED, RepSpecError
 
 
@@ -274,7 +274,7 @@ def burnside_oracle(rep):
     U, a proper submodule of the dual, holds the kernel vector of theta^T.
     The nullity stays 1 over every extension field, so irreducible here
     means absolutely irreducible.  When no diagonal entry of A gives
-    nullity 1, the word queue (word_span_oracle) decides instead.
+    nullity 1, the span of words (word_span_oracle) decides instead.
     Specialized backends only.
     """
     if isinstance(rep.field, SymbolicField):
@@ -315,7 +315,7 @@ def norton_orbits(rep):
         orbits = []
         transposes = (list(zip(*a_rows)), list(zip(*b_rows)))
         for start, maps in ((kernel[0], (a_rows, b_rows)), (w, transposes)):
-            orbits.append(spin(field, start, maps))
+            orbits.append(spin(field, start, [times(rows) for rows in maps]))
             if orbits[-1].rank < d:
                 break
         return orbits
@@ -323,31 +323,23 @@ def norton_orbits(rep):
 
 
 def word_span_oracle(rep):
-    """Span of the words in {A, B}, closed by one FIFO queue of words.
+    """Span of the words in {A, B}: the spin of vec(I) under right
+    multiplication by A and B.
 
-    Each queued word is multiplied by A and B on the right over an
-    incrementally reduced row space of width dim^2, and a product is queued
-    when it enlarges the span.  Every queued word enlarged the span, so at
-    most dim^2 words are queued and the loop ends by construction; it stops
-    as soon as the rank is dim^2.  burnside_oracle's fallback, and the test
-    oracle for Norton's route.
+    A word X is its row-major vector vec(X) of width dim^2, and its image
+    under a generator M is vec(X*M), formed entry by entry with dot.  Every
+    queued word enlarged the span, so at most dim^2 words are queued, and
+    the spin stops as soon as the rank is dim^2.  burnside_oracle's
+    fallback, and the test oracle for Norton's route.
     """
-    field = rep.field
-    d = rep.dim
-    target = d * d
-    space = RowSpace(field, target)
-    ident = SquareMatrix.identity(field, d)
-    space.insert(vec(ident))
-    queue = deque([ident])
-    while queue:
-        m = queue.popleft()
-        for gen in (rep.A, rep.B):
-            if space.rank == target:
-                return True
-            prod = m * gen
-            if space.insert(vec(prod)):
-                queue.append(prod)
-    return space.rank == target
+    field, d = rep.field, rep.dim
+
+    def right(m):
+        cols = list(zip(*m.rows))
+        return lambda v: [dot(v[i:i + d], col) for i in range(0, d * d, d) for col in cols]
+
+    ident = vec(SquareMatrix.identity(field, d))
+    return spin(field, ident, [right(rep.A), right(rep.B)]).rank == d * d
 
 
 def hom_space_dim(rep1, rep2):

@@ -19,11 +19,10 @@ import sys
 
 from .classify import burnside_oracle, deligne_check, is_simple, q_from_spec, sl2z_flags
 from .dims import verify_series
-from .fields import NumberField, ParseError, RationalField, ZeroDivisorError
+from .fields import NumberField, RationalField, ZeroDivisorError
 from .reps import (
     CLASSIFIED,
     RepSpec,
-    RepSpecError,
     build_binomial_rep,
     build_rep,
     rep_from_json,

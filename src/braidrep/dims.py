@@ -235,9 +235,20 @@ def verify_series(series):
     from .factored import FactoredField
 
     if series == "bcd":
-        return _verify_bcd(FactoredField)
+        exact, exact_flipped = _bcd_values(FactoredField)
+        # only the alpha^2 = 1 reports are shown, so only they are expanded;
+        # the alpha^2 = -1 pass is checked on the factored values alone
+        shown, = _bcd_values(SymbolicField, (1,))
+        reports = _compare(exact, shown, BCD_SUMMANDS)
+        flipped = _compare(exact_flipped, exact_flipped, BCD_SUMMANDS)
+        if [r.exact_a for r in reports] != [r.exact_a for r in flipped]:
+            raise RuntimeError("summand dimensions depend on the sign of alpha squared")
+        return reports
     if series == "exceptional":
-        return _verify_exceptional(FactoredField)
+        return _compare(
+            _exceptional_values(FactoredField), _exceptional_values(SymbolicField),
+            EXCEPTIONAL_SUMMANDS,
+        )
     raise ValueError("series must be 'bcd' or 'exceptional'")
 
 
@@ -286,18 +297,6 @@ def _bcd_values(backend, alpha_squares=(1, -1)):
     return out
 
 
-def _verify_bcd(exact_backend):
-    exact, exact_flipped = _bcd_values(exact_backend)
-    # only the alpha^2 = 1 reports are shown, so only they are expanded; the
-    # alpha^2 = -1 pass is checked on the factored values alone
-    shown, = _bcd_values(SymbolicField, (1,))
-    reports = _compare(exact, shown, BCD_SUMMANDS)
-    flipped = _compare(exact_flipped, exact_flipped, BCD_SUMMANDS)
-    if [r.exact_a for r in reports] != [r.exact_a for r in flipped]:
-        raise RuntimeError("summand dimensions depend on the sign of alpha squared")
-    return reports
-
-
 def _exceptional_values(backend):
     ctx = exceptional_context(backend)
     u, w = ctx.base, ctx.weight
@@ -313,10 +312,3 @@ def _exceptional_values(backend):
     dim_z = p[1] * p[2] / q1[2]
     routes = [dim_z] + [summand_dim(table, dim_z, i) for i in (3, 4, 5)]
     return SeriesValues(table, dim_z, routes, exceptional_dims(ctx), spec.root_param)
-
-
-def _verify_exceptional(exact_backend):
-    return _compare(
-        _exceptional_values(exact_backend), _exceptional_values(SymbolicField),
-        EXCEPTIONAL_SUMMANDS,
-    )

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .fields import LaurentPolynomial, Scalar, poly_divmod
+from .fields import LaurentPolynomial, Scalar, cyclotomic, poly_divmod
 
 
 class FactoredField:
@@ -278,17 +278,6 @@ def _content(coeffs):
 def _unit(c):
     """A rational as an int when it is integral, else as a Fraction."""
     return c.numerator if c.denominator == 1 else c
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(n):
-    """Ascending integer coefficients of Phi_n: x^n - 1 divided by Phi_d
-    for every proper divisor d of n."""
-    out = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            out = poly_divmod(out, cyclotomic(d))[0]
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -15,10 +15,12 @@ denominator at parse time.
 Every univariate-polynomial loop is one of three kernels on ascending
 coefficient sequences: poly_mul (schoolbook product), poly_divmod (division
 by a unit-led divisor) and horner (evaluation at a scalar, or at a matrix
-when the coefficients are scalar matrices).
+when the coefficients are scalar matrices).  cyclotomic builds Phi_n with
+poly_divmod; cyclotomic_field and braidrep.factored both read it.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 import re
 
@@ -91,6 +93,17 @@ def horner(coeffs, x):
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(n):
+    """Ascending integer coefficients of Phi_n: x^n - 1 divided by Phi_d
+    for every proper divisor d of n."""
+    out = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            out = poly_divmod(out, cyclotomic(d))[0]
+    return tuple(out)
 
 
 class Scalar:
@@ -486,16 +499,11 @@ def _splits(modulus):
 
 
 def cyclotomic_field(n):
-    """Number field containing a primitive n-th root of unity (the generator)."""
-    moduli = {
-        3: (1, 1, 1),
-        4: (1, 0, 1),
-        5: (1, 1, 1, 1, 1),
-        6: (1, -1, 1),
-    }
-    if n not in moduli:
+    """Q[z]/(Phi_n), whose generator z is a primitive n-th root of unity,
+    for n >= 3."""
+    if n < 3:
         raise ValueError("unsupported cyclotomic order %d" % n)
-    return NumberField(moduli[n])
+    return NumberField(cyclotomic(n))
 
 
 def root_of_unity(field, order):

@@ -8,9 +8,9 @@ clarity over asymptotics.  Every elimination (determinants, ranks,
 nullspaces, inverses) goes through one kernel, the incremental reduced
 echelon form RowSpace; det reads its pivots off it, and spin grows the
 orbit of a vector under linear maps in it.  Over the rationals RowSpace
-keeps its rows as primitive integer vectors and eliminates fraction-free,
-by cross-multiplication; over the other fields it keeps Scalar rows with
-pivot 1.  UniPoly calls the polynomial kernels of braidrep.fields.
+inserts fraction-free, keeping its rows as primitive integer vectors; it
+reads them back, and reduce() works on them, as Scalar rows with pivot 1 on
+every field.  UniPoly calls the polynomial kernels of braidrep.fields.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class SquareMatrix:
         self._check(other)
         return SquareMatrix(self.field, [map(op, r, s) for r, s in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return SquareMatrix(self.field, [[-x for x in r] for r in self.rows])
-
     def __mul__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
@@ -103,15 +100,11 @@ class SquareMatrix:
             raise BackendMismatch("matrices over different fields")
 
     def scale(self, c):
-        if not isinstance(c, Scalar):
-            c = self.field.const(c)
         return SquareMatrix(self.field, [[c * x for x in r] for r in self.rows])
 
     def det(self):
         """Product of the pivots met while the rows are reduced in order,
-        negated once for each earlier pivot column right of a new one.
-        reduce returns each row at its own scale, so over Q the integer
-        rows' scale factors never reach the product."""
+        negated once for each earlier pivot column right of a new one."""
         space = RowSpace(self.field, self.dim)
         det = self.field.one
         for row in self.rows:
@@ -245,20 +238,25 @@ def nullspace_dim(field, rows, ncols):
     return ncols - RowSpace(field, ncols, rows).rank
 
 
-def spin(field, vector, maps):
-    """Orbit of a nonzero vector under linear maps, each given by its rows.
+def times(rows):
+    """The map v -> M*v of the matrix M with the given rows."""
+    return lambda v: [dot(row, v) for row in rows]
 
-    One FIFO queue of images: each queued vector is sent through every map
-    by matrix-vector products, and an image is queued when it enlarges the
-    span.  Returns the RowSpace of the orbit; it stops at the insert that
-    reaches full rank.
+
+def spin(field, vector, maps):
+    """Orbit of a nonzero vector under linear maps, each a function from a
+    vector to its image.
+
+    One FIFO queue of images: each queued vector is sent through every map,
+    and an image is queued when it enlarges the span.  Returns the RowSpace
+    of the orbit; it stops at the insert that reaches full rank.
     """
     space = RowSpace(field, len(vector), [vector])
     queue = deque([vector])
     while queue and space.rank < space.ncols:
         v = queue.popleft()
-        for rows in maps:
-            image = [dot(row, v) for row in rows]
+        for apply in maps:
+            image = apply(v)
             if space.insert(image):
                 queue.append(image)
                 if space.rank == space.ncols:
@@ -273,19 +271,18 @@ class RowSpace:
     determinants and number-field inversion all reduce through it, on
     systems as wide as the 2d^2 x d^2 intertwiner system (50x25 at d = 5).
     insert() returns True when the vector enlarged the span.  The orbit
-    closures (spin, and the span of words in braidrep.classify) insert one
-    candidate at a time; many are rejected, and the incremental reduction
-    keeps that cheap.
+    closures (spin, which both span oracles of braidrep.classify run)
+    insert one candidate at a time; many are rejected, and the incremental
+    reduction keeps that cheap.
 
-    Over RationalField each row is kept fraction-free (Bareiss 1968), as a
-    primitive integer vector with a positive pivot: a vector is cleared at a
-    pivot by cross-multiplication, row[p]*u - u[p]*row, and insert divides
-    each result by its content, so no gcd runs per entry operation.
-    reduce() skips those divisions, which leaves a known scale to divide
-    back out.  Over any other field a row is a Scalar list with pivot 1,
-    where the same step is u - u[p]*row.  Either way rows reads as Scalar
-    lists with pivot 1; the reduced echelon form is unique, so both give the
-    same rows, pivots and reductions.
+    Over RationalField insert keeps each row fraction-free (Bareiss 1968),
+    as a primitive integer vector with a positive pivot: a vector is cleared
+    at a pivot by cross-multiplication, row[p]*u - u[p]*row, divided by its
+    content, so no gcd runs per entry operation.  Over any other field a row
+    is a Scalar list with pivot 1, where the same step is u - u[p]*row.
+    Either way rows reads as Scalar lists with pivot 1, and reduce() clears
+    a vector against those; the reduced echelon form is unique, so both give
+    the same rows, pivots and reductions.
     """
 
     __slots__ = ("field", "ncols", "pivots", "_rows", "_integer")
@@ -314,9 +311,9 @@ class RowSpace:
             for row, p in zip(self._rows, self.pivots)
         ]
 
-    def _encoded(self, vector):
-        """The vector in the stored rows' form: its Scalars, or over Q its
-        integer numerators over one common denominator, and that denominator."""
+    def _checked(self, vector):
+        """The vector as a list, refused unless it holds ncols Scalars of
+        this field."""
         v = list(vector)
         if len(v) != self.ncols:
             raise ValueError(f"vector of length {len(v)} in a row space of width {self.ncols}")
@@ -326,22 +323,26 @@ class RowSpace:
                 raise TypeError("row space entries must be Scalars")
             if x.field is not field and x.field != field:
                 raise BackendMismatch("vector entry from a different field")
-        if not self._integer:
-            return v, None
-        values = [x.value for x in v]
-        den = lcm(*[x.denominator for x in values])
-        return [x.numerator * (den // x.denominator) for x in values], den
-
-    def _reduced(self, v, step):
-        """v less the combination of the rows that clears every pivot column,
-        one step per row; over Q up to a nonzero factor."""
-        for row, p in zip(self._rows, self.pivots):
-            v = step(v, row, p)
         return v
 
-    def _normalized(self, v):
-        """The pivot of a reduced vector and the vector in stored form, or
-        (None, v) for a zero vector."""
+    def reduce(self, vector):
+        """The vector less the combination of the rows that clears every
+        pivot column."""
+        v = self._checked(vector)
+        for row, p in zip(self.rows, self.pivots):
+            v = _subtract(v, row, p)
+        return v
+
+    def insert(self, vector):
+        v = self._checked(vector)
+        if self._integer:
+            # integer numerators over one common denominator
+            values = [x.value for x in v]
+            den = lcm(*[x.denominator for x in values])
+            v = [x.numerator * (den // x.denominator) for x in values]
+        step = _cleared if self._integer else _subtract
+        for row, p in zip(self._rows, self.pivots):
+            v = step(v, row, p)
         if self._integer:
             pivot = next((i for i, x in enumerate(v) if x), None)
             if pivot is not None:
@@ -351,26 +352,6 @@ class RowSpace:
             if pivot is not None:
                 inv = v[pivot].inv()
                 v = [inv * x for x in v]
-        return pivot, v
-
-    def reduce(self, vector):
-        """The vector less the combination of the rows that clears every
-        pivot column, as Scalars."""
-        v, den = self._encoded(vector)
-        if not self._integer:
-            return self._reduced(v, _subtract)
-        # a row in reduced form is zero in the other pivot columns, so a step
-        # leaves them zero or nonzero as they were: the rows that act, and
-        # the pivots _cross scales v by, are known in advance
-        for row, p in zip(self._rows, self.pivots):
-            if v[p]:
-                den *= row[p]
-        field = self.field
-        return [Scalar(field, Fraction(x, den)) for x in self._reduced(v, _cross)]
-
-    def insert(self, vector):
-        step = _cleared if self._integer else _subtract
-        pivot, v = self._normalized(self._reduced(self._encoded(vector)[0], step))
         if pivot is None:
             return False
         # back-substitute into the existing rows to stay fully reduced
@@ -391,22 +372,15 @@ def _subtract(u, row, p):
     return [x - c * y for x, y in zip(u, row)]
 
 
-def _cross(u, row, p):
-    """row[p]*u - u[p]*row: column p of u cleared by an integer row with its
-    pivot there, u itself when that entry is already zero."""
+def _cleared(u, row, p):
+    """row[p]*u - u[p]*row divided by its content: column p of u cleared by
+    an integer row with its pivot there, with entries kept from growing
+    with every step; u itself when that entry is already zero."""
     c = u[p]
     if not c:
         return u
     a = row[p]
-    return [a * x - c * y for x, y in zip(u, row)]
-
-
-def _cleared(u, row, p):
-    """_cross divided by its content, which keeps entries from growing with
-    every step."""
-    if not u[p]:
-        return u
-    return _primitive(_cross(u, row, p))
+    return _primitive([a * x - c * y for x, y in zip(u, row)])
 
 
 def _primitive(v):

@@ -425,21 +425,34 @@ def rep_to_json_dict(rep):
 
 
 def rep_from_json_dict(data):
-    variables = data.get("variables") or []
+    """The Rep of a decoded JSON object; a non-list where a list belongs
+    (variables, eigenvalues, A, B or a matrix row) is refused with ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("the top level must be an object")
+    variables = _listed(data.get("variables") or [], "variables")
     if variables:
         field = SymbolicField(VarContext(tuple(variables)))
     elif data.get("modulus"):
         field = NumberField.from_modulus_string(data["modulus"])
     else:
         field = RationalField()
-    eigs = [field.parse(s) for s in data["eigenvalues"]]
+    eigs = [field.parse(s) for s in _listed(data["eigenvalues"], "eigenvalues")]
     root = field.parse(data["root_param"]) if data.get("root_param") else None
     spec = RepSpec(data["family"], eigs, root_param=root)
     if spec.dim != data["dim"]:
         raise RepSpecError("dimension does not match eigenvalue count")
-    a = SquareMatrix(field, [[field.parse(s) for s in row] for row in data["A"]])
-    b = SquareMatrix(field, [[field.parse(s) for s in row] for row in data["B"]])
-    return Rep(spec, a, b)
+    a, b = (
+        [[field.parse(s) for s in _listed(row, key + " row")] for row in _listed(data[key], key)]
+        for key in ("A", "B")
+    )
+    return Rep(spec, SquareMatrix(field, a), SquareMatrix(field, b))
+
+
+def _listed(value, what):
+    """value, refused with ValueError unless it is a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError("%s must be a list" % what)
+    return value
 
 
 def rep_from_json(text):

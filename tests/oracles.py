@@ -315,13 +315,14 @@ def fraction_nullspace_basis(field, rows, ncols):
 
 
 def fraction_spin(field, vector, maps):
-    """Orbit of a nonzero vector under linear maps, each given by its rows."""
+    """Orbit of a nonzero vector under linear maps, each a function from a
+    vector to its image."""
     space = FractionRowSpace(field, len(vector), [vector])
     queue = deque([vector])
     while queue and space.rank < space.ncols:
         v = queue.popleft()
-        for rows in maps:
-            image = [dot(row, v) for row in rows]
+        for apply in maps:
+            image = apply(v)
             if space.insert(image):
                 queue.append(image)
                 if space.rank == space.ncols:

@@ -388,8 +388,10 @@ def test_integer_rows_match_the_fraction_kernel_on_norton_instances(monkeypatch)
     for (field, vector, maps), space in orbits:
         ref = fraction_spin(field, vector, maps)
         assert (space.rank, space.pivots, space.rows) == (ref.rank, ref.pivots, ref.rows)
-        for v in maps[0]:
-            assert space.reduce(v) == ref.reduce(v)
+        # reduce is linear, so the unit vectors determine it
+        for i in range(len(vector)):
+            unit = [field.one if j == i else field.zero for j in range(len(vector))]
+            assert space.reduce(unit) == ref.reduce(unit)
 
 
 def criterion_05_pairs():

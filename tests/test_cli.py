@@ -212,6 +212,42 @@ def test_verify_rejects_malformed_json(capsys, monkeypatch):
     assert "cannot parse" in err
 
 
+# `construct --dim 2 --eig 1 --eig 2`, which verifies with exit 0
+PAIR_1_2 = {
+    "dim": 2, "family": "classified", "variables": [], "eigenvalues": ["1", "2"],
+    "root_param": None, "A": [["1", "1"], ["0", "2"]], "B": [["2", "0"], ["-2", "1"]],
+}
+# the symbolic pair of dimension 2 in the variables a and b
+PAIR_A_B = {
+    "dim": 2, "family": "classified", "variables": ["a", "b"], "eigenvalues": ["a", "b"],
+    "root_param": None, "A": [["a", "a"], ["0", "b"]], "B": [["b", "0"], ["-b", "a"]],
+}
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '"x"',
+    "5",
+    # a string where a list belongs would iterate as its characters, and
+    # each of these documents would then verify
+    json.dumps({**PAIR_1_2, "eigenvalues": "12"}),
+    json.dumps({**PAIR_A_B, "variables": "ab"}),
+    json.dumps({**PAIR_1_2, "A": ["11", "02"]}),
+    json.dumps({**PAIR_1_2, "B": ["20", ["-2", "1"]]}),
+    # an object would iterate as its keys
+    json.dumps({**PAIR_1_2, "A": {"11": 0, "02": 0}}),
+], ids=["list", "string", "number", "eigenvalues", "variables", "A-rows", "B-row",
+        "A-object"])
+def test_verify_refuses_json_of_the_wrong_shape(text):
+    result = subprocess.run(
+        [sys.executable, "-m", "braidrep", "verify"], input=text, capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: cannot parse representation JSON: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_verify_missing_file_is_an_input_error(capsys, tmp_path):
     missing = str(tmp_path / "missing.json")
     code, out, err = run_cli(capsys, ["verify", "--file", missing])

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from braidrep import dims
-from braidrep.factored import FactoredField, cyclotomic, cyclotomic_candidates
-from braidrep.fields import LaurentPolynomial, SymbolicField, VarContext, poly_mul
+from braidrep.factored import FactoredField, cyclotomic_candidates
+from braidrep.fields import LaurentPolynomial, SymbolicField, VarContext, cyclotomic, poly_mul
 
 UW = VarContext(("u", "w"))
 

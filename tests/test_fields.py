@@ -171,6 +171,27 @@ def test_cyclotomic_fields():
     assert z5 ** 4 + z5 ** 3 + z5 ** 2 + z5 + 1 == 0
 
 
+def test_cyclotomic_field_of_every_order_has_a_primitive_root():
+    for n in range(3, 31):
+        field = cyclotomic_field(n)
+        z = field.gen
+        assert z ** n == 1
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+        assert all(z ** (n // p) != 1 for p in primes), n
+        assert field.degree == sum(gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+def test_cyclotomic_field_moduli_of_the_small_orders():
+    # Phi_3 to Phi_6 written out: scan --kind degenerate in dimension 2
+    # works over Q(zeta_6), so its bytes rest on these moduli
+    table = {3: (1, 1, 1), 4: (1, 0, 1), 5: (1, 1, 1, 1, 1), 6: (1, -1, 1)}
+    for n, modulus in table.items():
+        assert cyclotomic_field(n).modulus == modulus
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="unsupported cyclotomic order"):
+            cyclotomic_field(n)
+
+
 def test_numberfield_inverse_round_trip():
     k = cyclotomic_field(5)
     rng = random.Random(99)

@@ -23,6 +23,7 @@ from braidrep.matrices import (
     nullspace_basis,
     nullspace_dim,
     spin,
+    times,
     vec,
 )
 
@@ -364,13 +365,13 @@ def test_spin_orbit_of_a_vector():
     e = lambda *vals: [q.const(v) for v in vals]
     # the shift e1 -> e2 -> e3 -> e4 carries e1 around the whole space
     shift = [e(0, 0, 0, 0), e(1, 0, 0, 0), e(0, 1, 0, 0), e(0, 0, 1, 0)]
-    space = spin(q, e(1, 0, 0, 0), [shift])
+    space = spin(q, e(1, 0, 0, 0), [times(shift)])
     assert space.rank == 4 and space.pivots == [0, 1, 2, 3]
     # e3 only reaches e4 under the shift, and the diagonal map fixes both lines
     diagonal = [e(2, 0, 0, 0), e(0, 3, 0, 0), e(0, 0, 5, 0), e(0, 0, 0, 7)]
-    space = spin(q, e(0, 0, 1, 0), [diagonal, shift])
+    space = spin(q, e(0, 0, 1, 0), [times(diagonal), times(shift)])
     assert space.rank == 2 and space.pivots == [2, 3]
-    assert spin(q, e(1, 1, 0, 0), [diagonal]).rank == 2
+    assert spin(q, e(1, 1, 0, 0), [times(diagonal)]).rank == 2
 
 
 def test_scalar_matrix_detection():

@@ -72,3 +72,21 @@ def test_every_library_definition_is_reached_from_library_code():
         and not any(node.name in refs for other, refs in zip(tops, used) if other is not node)
     ]
     assert stray == []
+
+
+def test_every_imported_name_is_used_where_it_is_imported():
+    # a name a library module imports and never reads is dead weight at
+    # import time; from __future__ imports switch on features and are exempt
+    unused = []
+    for path in sorted((ROOT / "src" / "braidrep").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            (path.name, alias.asname or alias.name.split(".")[0])
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in read
+        ]
+    assert unused == []
