@@ -12,6 +12,7 @@ A fixed seed reproduces any sweep byte for byte.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -304,6 +305,18 @@ def cmd_dims(args):
     return OK if all(item["equal"] for item in payload) else CHECK_FAILED
 
 
+# subcommand name -> handler, looked up when a command runs (a handler bound
+# into the cached parser would keep whatever object stood there first)
+COMMANDS = {
+    "construct": cmd_construct,
+    "verify": cmd_verify,
+    "classify": cmd_classify,
+    "qpoly": cmd_qpoly,
+    "scan": cmd_scan,
+    "dims": cmd_dims,
+}
+
+
 # ---------------------------------------------------------------------------
 # argument wiring
 
@@ -339,7 +352,9 @@ def _add_spec_args(parser):
     )
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and kept for the process."""
     parser = _Parser(prog="braidrep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", metavar="command", required=True)
 
@@ -350,7 +365,6 @@ def build_parser():
         help="matrix family (default classified)",
     )
     _add_format(p)
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="re-check a pair read from JSON")
     p.add_argument("--file", help="JSON file (default: standard input)")
@@ -359,7 +373,6 @@ def build_parser():
         help="which identity set to run (default all)",
     )
     _add_format(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="simplicity verdict and optional flags")
     _add_spec_args(p)
@@ -380,14 +393,12 @@ def build_parser():
         help="always exit 0 on a clean run, even when not simple",
     )
     _add_format(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("qpoly", help="print the closed pair scalars")
     _add_spec_args(p)
     p.add_argument("--r", type=int, help="first summand index")
     p.add_argument("--s", type=int, help="second summand index")
     _add_format(p)
-    p.set_defaults(func=cmd_qpoly)
 
     p = sub.add_parser("scan", help="seeded random sweep, CSV on stdout")
     p.add_argument("--dim", type=int, required=True)
@@ -405,12 +416,10 @@ def build_parser():
         "--oracle", choices=("burnside", "none"), default="none",
         help="also run the span oracle per instance",
     )
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("dims", help="two-route dimension comparison for a series")
     p.add_argument("--series", required=True, help="bcd or exceptional")
     _add_format(p)
-    p.set_defaults(func=cmd_dims)
 
     return parser
 
@@ -418,7 +427,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = COMMANDS[args.subcommand](args)
         # flush here so a reader that closed early is seen by the handler below
         sys.stdout.flush()
         return code

@@ -291,7 +291,13 @@ class SymbolicField:
         return (-a[0], a[1])
 
     def _mul(self, a, b):
-        return self._pair(a[0] * b[0], a[1] * b[1]).value
+        # a product of reduced denominators is reduced, so no second _pair:
+        # content is multiplicative (Gauss), grlex leading terms multiply
+        # and the lowest exponents add
+        num = a[0] * b[0]
+        if num.is_zero():
+            return (num, LaurentPolynomial.const(self.context, 1))
+        return (num, a[1] * b[1])
 
     def _inv(self, a):
         return self._pair(a[1], a[0]).value

@@ -19,7 +19,7 @@ constructor that skips the normalizing pass.
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import gcd, lcm, prod
-from operator import add, floordiv, mod, mul, neg, sub
+from operator import add, floordiv, getitem, mod, mul, neg, sub
 import re
 import sys
 
@@ -203,19 +203,19 @@ class LaurentPolynomial:
     def render(self):
         if not self.terms:
             return "0"
-        names = self.context.names
+        # per variable, the factor "*name^e" of each exponent that occurs,
+        # formatted once ("" for e = 0)
+        powers = [{e: "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}"
+                   for e in set(column)}
+                  for name, column in zip(self.context.names, zip(*self.terms))]
         out = []
         for mono, coeff in self.sorted_terms():
-            factors = "*".join([name if e == 1 else f"{name}^{e}"
-                                for name, e in zip(names, mono) if e])
-            # an int or a Fraction formats as its plain decimal form
-            sign, mag = "+" if coeff > 0 else "-", abs(coeff)
-            if not factors:
-                out.append(f"{sign}{mag}")
-            elif mag == 1:
-                out.append(sign + factors)
+            factors = "".join(map(getitem, powers, mono))
+            if factors and abs(coeff) == 1:
+                out.append(("+" if coeff > 0 else "-") + factors[1:])
             else:
-                out.append(f"{sign}{mag}*{factors}")
+                # an int or a Fraction formats as its plain decimal form
+                out.append(f"+{coeff}{factors}" if coeff > 0 else f"{coeff}{factors}")
         text = "".join(out)
         return text[1:] if text[0] == "+" else text
 
@@ -274,8 +274,8 @@ def kronecker_mul(a, b, max_cells):
     cells = prod(sizes)
     if cells > max_cells:
         return None
-    ints_a, scale_a = _cell_integers(a, lows_a, steps, sizes)
-    ints_b, scale_b = _cell_integers(b, lows_b, steps, sizes)
+    ints_a, scale_a = _cell_integers(a, cols_a, lows_a, steps, sizes)
+    ints_b, scale_b = _cell_integers(b, cols_b, lows_b, steps, sizes)
     bound = (max(map(abs, ints_a.values())) * max(map(abs, ints_b.values()))
              * min(len(a), len(b)))
     width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
@@ -304,17 +304,21 @@ def kronecker_mul(a, b, max_cells):
 _SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def _cell_integers(terms, lows, steps, sizes):
+def _cell_integers(terms, columns, lows, steps, sizes):
     """({box cell: integer coefficient}, scale) for terms times scale, the lcm
-    of their denominators; a cell counts the last variable fastest."""
-    scale = lcm(*(c.denominator for c in terms.values()))
-    out = {}
-    for mono, c in terms.items():
-        cell = 0
-        for e, lo, step, size in zip(mono, lows, steps, sizes):
-            cell = cell * size + (e - lo) // step
-        out[cell] = c.numerator * (scale // c.denominator)
-    return out, scale
+    of their denominators; columns holds the terms' exponents one variable at
+    a time, and a cell counts the last variable fastest."""
+    cells = [0] * len(terms)
+    for column, lo, step, size in zip(columns, lows, steps, sizes):
+        if step == 1:
+            cells = [cell * size + e - lo for cell, e in zip(cells, column)]
+        else:
+            cells = [cell * size + (e - lo) // step for cell, e in zip(cells, column)]
+    coeffs = terms.values()
+    scale = lcm(*(c.denominator for c in coeffs))
+    if scale != 1:
+        coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+    return dict(zip(cells, coeffs)), scale
 
 
 def _pack(ints, width, cells):

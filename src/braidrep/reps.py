@@ -425,24 +425,33 @@ def rep_to_json_dict(rep):
 
 
 def rep_from_json_dict(data):
-    """The Rep of a decoded JSON object; a non-list where a list belongs
-    (variables, eigenvalues, A, B or a matrix row) is refused with ValueError."""
+    """The Rep of a decoded JSON object.  Refused with a ValueError that names
+    the field: a missing family, dim, eigenvalues, A or B; a non-list where a
+    list belongs (variables, eigenvalues, A, B or a matrix row); a non-string
+    variable, modulus, eigenvalue, root_param or matrix entry."""
     if not isinstance(data, dict):
         raise ValueError("the top level must be an object")
+    for key in ("family", "dim", "eigenvalues", "A", "B"):
+        if key not in data:
+            raise ValueError("missing field %r" % key)
     variables = _listed(data.get("variables") or [], "variables")
+    modulus = data.get("modulus")
     if variables:
-        field = SymbolicField(VarContext(tuple(variables)))
-    elif data.get("modulus"):
-        field = NumberField.from_modulus_string(data["modulus"])
+        field = SymbolicField(VarContext(tuple(_text(v, "a variable") for v in variables)))
+    elif modulus not in (None, ""):
+        field = NumberField.from_modulus_string(_text(modulus, "modulus"))
     else:
         field = RationalField()
-    eigs = [field.parse(s) for s in _listed(data["eigenvalues"], "eigenvalues")]
-    root = field.parse(data["root_param"]) if data.get("root_param") else None
+    eigs = [field.parse(_text(s, "an eigenvalue"))
+            for s in _listed(data["eigenvalues"], "eigenvalues")]
+    root = data.get("root_param")
+    root = None if root in (None, "") else field.parse(_text(root, "root_param"))
     spec = RepSpec(data["family"], eigs, root_param=root)
     if spec.dim != data["dim"]:
         raise RepSpecError("dimension does not match eigenvalue count")
     a, b = (
-        [[field.parse(s) for s in _listed(row, key + " row")] for row in _listed(data[key], key)]
+        [[field.parse(_text(s, "an entry of " + key)) for s in _listed(row, key + " row")]
+         for row in _listed(data[key], key)]
         for key in ("A", "B")
     )
     return Rep(spec, SquareMatrix(field, a), SquareMatrix(field, b))
@@ -452,6 +461,13 @@ def _listed(value, what):
     """value, refused with ValueError unless it is a JSON list."""
     if not isinstance(value, list):
         raise ValueError("%s must be a list" % what)
+    return value
+
+
+def _text(value, what):
+    """value, refused with ValueError unless it is a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError("%s must be a string" % what)
     return value
 
 

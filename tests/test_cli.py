@@ -6,11 +6,15 @@ exit-code contract under test: 0 all checks passed, 1 usage or input
 error, 2 a mathematical check came back false.
 """
 
+import contextlib
+import gc
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -224,28 +228,37 @@ PAIR_A_B = {
 }
 
 
-@pytest.mark.parametrize("text", [
-    "[]",
-    '"x"',
-    "5",
+@pytest.mark.parametrize("text, named", [
+    ("[]", "the top level must be an object"),
+    ('"x"', "the top level must be an object"),
+    ("5", "the top level must be an object"),
     # a string where a list belongs would iterate as its characters, and
     # each of these documents would then verify
-    json.dumps({**PAIR_1_2, "eigenvalues": "12"}),
-    json.dumps({**PAIR_A_B, "variables": "ab"}),
-    json.dumps({**PAIR_1_2, "A": ["11", "02"]}),
-    json.dumps({**PAIR_1_2, "B": ["20", ["-2", "1"]]}),
+    (json.dumps({**PAIR_1_2, "eigenvalues": "12"}), "eigenvalues must be a list"),
+    (json.dumps({**PAIR_A_B, "variables": "ab"}), "variables must be a list"),
+    (json.dumps({**PAIR_1_2, "A": ["11", "02"]}), "A row must be a list"),
+    (json.dumps({**PAIR_1_2, "B": ["20", ["-2", "1"]]}), "B row must be a list"),
     # an object would iterate as its keys
-    json.dumps({**PAIR_1_2, "A": {"11": 0, "02": 0}}),
+    (json.dumps({**PAIR_1_2, "A": {"11": 0, "02": 0}}), "A must be a list"),
+    # a number or a list where a scalar string belongs
+    (json.dumps({**PAIR_1_2, "eigenvalues": [1, 2]}), "an eigenvalue must be a string"),
+    (json.dumps({**PAIR_1_2, "root_param": ["1"]}), "root_param must be a string"),
+    (json.dumps({**PAIR_1_2, "A": [[1, 1], [0, 2]]}), "an entry of A must be a string"),
+    (json.dumps({**PAIR_1_2, "B": [["2", "0"], ["-2", 1]]}), "an entry of B must be a string"),
+    (json.dumps({**PAIR_1_2, "modulus": 5}), "modulus must be a string"),
+] + [
+    (json.dumps({k: v for k, v in PAIR_1_2.items() if k != key}), "missing field %r" % key)
+    for key in ("family", "dim", "eigenvalues", "A", "B")
 ], ids=["list", "string", "number", "eigenvalues", "variables", "A-rows", "B-row",
-        "A-object"])
-def test_verify_refuses_json_of_the_wrong_shape(text):
+        "A-object", "eigenvalue-number", "root-list", "A-numbers", "B-number",
+        "modulus-number", "no-family", "no-dim", "no-eigenvalues", "no-A", "no-B"])
+def test_verify_refuses_json_of_the_wrong_shape(text, named):
     result = subprocess.run(
         [sys.executable, "-m", "braidrep", "verify"], input=text, capture_output=True, text=True,
     )
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr.startswith("error: cannot parse representation JSON: ")
-    assert "Traceback" not in result.stderr
+    assert result.stderr == "error: cannot parse representation JSON: %s\n" % named
 
 
 def test_verify_missing_file_is_an_input_error(capsys, tmp_path):
@@ -579,3 +592,23 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dim"] == 2
+
+
+def test_repeated_calls_retain_no_memory():
+    # main keeps one parser per process; one built per call left about 200 B
+    # of argparse's strings behind on every call
+    argv = ["scan", "--dim", "5", "--count", "0"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        for _ in range(2):
+            assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(300):
+                main(argv)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert kept < 4096

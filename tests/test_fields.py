@@ -714,6 +714,39 @@ def test_pair_normalization_matches_on_random_pairs():
         assert [typed_terms(p) for p in got] == [typed_terms(p) for p in want]
 
 
+def random_reduced_pair(field, rng):
+    """A (num, den) value built through _pair from a numerator that is zero
+    one time in eight, and a denominator that is a single term one time in
+    four, each with Fraction coefficients and a scale that may be negative."""
+    ctx = field.context
+
+    def drawn(terms):
+        return LaurentPolynomial(ctx, {
+            tuple(rng.randint(-3, 3) for _ in ctx.names): random_nonzero_fraction(rng)
+            for _ in range(terms)
+        })
+
+    num = LaurentPolynomial(ctx, {}) if rng.randrange(8) == 0 else drawn(rng.randint(1, 4))
+    den = drawn(1 if rng.randrange(4) == 0 else rng.randint(2, 4))
+    scale = rng.choice([1, -1, 6, Fraction(-2, 3)])
+    return field._pair(num.scale(scale), den.scale(scale)).value
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+def test_symbolic_products_keep_the_normal_form(names):
+    # _mul skips _pair: a product of reduced denominators is reduced, since
+    # content is multiplicative, grlex leading terms multiply and the lowest
+    # exponents add
+    field = SymbolicField(VarContext(names))
+    rng = random.Random(1919 + len(names))
+    for _ in range(300):
+        a, b = random_reduced_pair(field, rng), random_reduced_pair(field, rng)
+        got = field._mul(a, b)
+        want = field._pair(a[0] * b[0], a[1] * b[1]).value
+        assert [typed_terms(p) for p in got] == [typed_terms(p) for p in want]
+        assert got[1].content() == (1, (0,) * len(names))
+
+
 @pytest.mark.parametrize("terms, text", [
     ({(1, 0): 1, (0, 1): -1}, "x-y"),
     ({(1, 0): -1, (0, 1): 1}, "-x+y"),

@@ -38,6 +38,25 @@ def test_traced_names_resolve():
             assert callable(getattr(module, attr)), (mod_name, attr)
 
 
+def test_a_cached_parser_reaches_patched_commands(capsys):
+    # main builds its parser once per process and looks the command up when
+    # it runs, so the traced run's wrapper records a span while it is
+    # installed and none once the original is back
+    tracing = load_tracing()
+    argv = ["dims", "--series", "bcd"]
+    cli.main(argv)
+    tracer = tracing.Tracer()
+    tracer.install({mod: importlib.import_module("braidrep." + mod)
+                    for mod, _, _ in tracing.TRACED})
+    try:
+        cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans].count("cli.dims") == 1
+    cli.main(argv)
+    assert [span[0] for span in tracer.spans].count("cli.dims") == 1
+
+
 @pytest.mark.parametrize("entry", list(REFERENCE["csv"]))
 def test_scan_matches_recorded_reference(entry, capsys):
     # the benchmark checks every scan row against this file byte for byte; a
