@@ -105,7 +105,7 @@ def delta_from_spec(spec):
         l1, l2 = spec.eigenvalues
         return -((l1 * l2) ** 3)
     if d == 3:
-        return spec.eigenvalue_product() ** 2
+        return spec.det ** 2
     cube = _root_square(spec) ** 3
     return -cube if d == 4 else cube
 
@@ -397,7 +397,7 @@ def deligne_check(spec):
     if spec.family != CLASSIFIED:
         raise RepSpecError("the certificate check applies to the classified family")
     d = spec.dim
-    total = spec.eigenvalue_product()
+    total = spec.det
     for r in range(1, d):
         lhs = total ** (6 * r)
         for subset in combinations(spec.eigenvalues, r):

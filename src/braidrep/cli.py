@@ -77,10 +77,15 @@ def _emit(data, fmt):
             print("%s: %s" % (key, _plain(value)))
 
 
-def _field_from_args(args):
-    if args.modulus:
-        return NumberField.from_modulus_string(args.modulus)
-    return RationalField()
+def _eigenvalues_from_args(args):
+    """(field, the parsed --eig values): the field is the --modulus number
+    field when one is given, else Q; a --dim other than their count is
+    refused."""
+    field = NumberField.from_modulus_string(args.modulus) if args.modulus else RationalField()
+    eigs = [field.parse(text) for text in args.eig]
+    if args.dim is not None and args.dim != len(eigs):
+        raise CLIError("--dim %d does not match %d --eig values" % (args.dim, len(eigs)))
+    return field, eigs
 
 
 def _spec_from_args(args):
@@ -95,10 +100,7 @@ def _spec_from_args(args):
         return spec
     if not eig:
         raise CLIError("need --eig values (one per eigenvalue) or --symbolic")
-    field = _field_from_args(args)
-    eigs = [field.parse(text) for text in eig]
-    if args.dim is not None and args.dim != len(eigs):
-        raise CLIError("--dim %d does not match %d --eig values" % (args.dim, len(eigs)))
+    field, eigs = _eigenvalues_from_args(args)
     if args.root_d is not None and args.root_gamma is not None:
         raise CLIError("give at most one of --D and --gamma")
     root = None
@@ -125,12 +127,7 @@ def cmd_construct(args):
             raise CLIError("the binomial family takes no root parameter")
         if not args.eig:
             raise CLIError("need --eig parameter values")
-        field = _field_from_args(args)
-        params = [field.parse(text) for text in args.eig]
-        if args.dim is not None and args.dim != len(params):
-            raise CLIError(
-                "--dim %d does not match %d --eig values" % (args.dim, len(params))
-            )
+        _, params = _eigenvalues_from_args(args)
         rep = build_binomial_rep(len(params), params)
     else:
         rep = build_rep(_spec_from_args(args))

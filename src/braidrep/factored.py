@@ -33,10 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .fields import LaurentPolynomial, Scalar, cyclotomic, poly_divmod
+from .fields import Field, LaurentPolynomial, Scalar, cyclotomic, poly_divmod
 
 
-class FactoredField:
+class FactoredField(Field):
     """Fraction field of the Laurent polynomial ring over a variable context,
     with elements kept as factored (unit, monomial, {atom: exponent})."""
 
@@ -52,14 +52,6 @@ class FactoredField:
         mono = [0] * len(self.context)
         mono[self.context.index(name)] = 1
         return Scalar(self, (1, tuple(mono), {}))
-
-    @property
-    def zero(self):
-        return self.const(0)
-
-    @property
-    def one(self):
-        return self.const(1)
 
     def _mul(self, a, b):
         if not a[0] or not b[0]:
@@ -134,14 +126,18 @@ class FactoredField:
             return c, mono, {}
         line = _line(list(terms))
         if line is None:
-            return _opaque(terms)
+            return self._opaque(terms)
         base, x, steps = line
         lo = min(steps)
         g = 0
         for j in steps:
             g = gcd(g, j - lo)
-        # h is the primitive integer polynomial, so every division stays in ints
-        num, den = _content(terms.values())
+        # h is the primitive integer polynomial, so every division stays in ints:
+        # num is the gcd of the numerators, den the lcm of the denominators
+        num, den = 0, 1
+        for c in terms.values():
+            num = gcd(num, c.numerator)
+            den = lcm(den, c.denominator)
         h = [0] * ((max(steps) - lo) // g + 1)
         for j, c in zip(steps, terms.values()):
             h[(j - lo) // g] = c * den // num
@@ -161,11 +157,21 @@ class FactoredField:
         mono = tuple(b + lo * e for b, e in zip(base, x))
         if len(h) == 1:
             return _unit(Fraction(h[0] * num, den)), mono, atoms
-        sign, rest_mono, opaque = _opaque(
+        sign, rest_mono, opaque = self._opaque(
             {tuple(i * g * e for e in x): c for i, c in enumerate(h) if c}
         )
         unit = _unit(Fraction(sign * num, den))
         return unit, _mono_add(mono, rest_mono), _merge(atoms, opaque, 1)
+
+    def _opaque(self, terms):
+        """(unit, monomial, {opaque atom: 1}) of a nonzero {exponent: coeff}
+        dict: the unit and monomial are its Laurent content, and the atom is
+        what dividing them out leaves; the unit is +-1 when the coefficients
+        are coprime integers."""
+        poly = LaurentPolynomial._trusted(self.context, terms)
+        unit, mono = poly.content()
+        key = tuple(sorted(poly.divide_by_term(unit, mono).terms.items()))
+        return unit, mono, {(0, key): 1}
 
     def atom_name(self, atom):
         """Phi_n(x) with x rendered as a monomial, or an opaque polynomial
@@ -188,11 +194,8 @@ class FactoredField:
             return "-" + "*".join(parts)
         return "*".join([head] + parts)
 
-    def __eq__(self, other):
-        return isinstance(other, FactoredField) and self.context == other.context
-
-    def __hash__(self):
-        return hash(("factored", self.context))
+    def _key(self):
+        return self.context
 
     def __repr__(self):
         return "FactoredField(%s)" % ",".join(self.context.names)
@@ -249,30 +252,6 @@ def _line(points):
             return None
         steps.append(step)
     return first, x, steps
-
-
-def _opaque(terms):
-    """(unit, monomial, {opaque atom: 1}) of a nonzero {exponent: coeff} dict;
-    the unit is +-1 when the coefficients are coprime integers."""
-    nvars = len(next(iter(terms)))
-    mono = tuple(min(m[i] for m in terms) for i in range(nvars))
-    num, den = _content(terms.values())
-    if terms[max(zip(map(sum, terms), terms))[1]] < 0:  # graded-lex leading term
-        num = -num
-    key = tuple(sorted(
-        (tuple(a - b for a, b in zip(m, mono)), c * den // num) for m, c in terms.items()
-    ))
-    return _unit(Fraction(num, den)), mono, {(0, key): 1}
-
-
-def _content(coeffs):
-    """(gcd of the numerators, lcm of the denominators) of nonzero int or
-    Fraction coefficients: every c * den // num is then an exact int."""
-    num, den = 0, 1
-    for c in coeffs:
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
-    return num, den
 
 
 def _unit(c):

@@ -192,11 +192,9 @@ class Scalar:
         return "Scalar(%s)" % self.render()
 
 
-class RationalField:
-    """Plain exact rationals."""
-
-    def const(self, value):
-        return Scalar(self, Fraction(value))
+class Field:
+    """What every scalar backend shares: zero and one built by its const,
+    and equality and hash read from its type and its _key()."""
 
     @property
     def zero(self):
@@ -205,6 +203,19 @@ class RationalField:
     @property
     def one(self):
         return self.const(1)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._key()))
+
+
+class RationalField(Field):
+    """Plain exact rationals."""
+
+    def const(self, value):
+        return Scalar(self, Fraction(value))
 
     def _add(self, a, b):
         return a + b
@@ -232,17 +243,14 @@ class RationalField:
         num, den = _parse_rf_string(_NO_VARS, text)
         return Scalar(self, Fraction(num.terms.get((), 0)) / den.terms[()])
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational")
+    def _key(self):
+        return ()
 
     def __repr__(self):
         return "RationalField()"
 
 
-class SymbolicField:
+class SymbolicField(Field):
     """Fraction field of the Laurent polynomial ring over a variable context.
 
     Elements are (num, den) pairs. Reduction divides out the denominator's sign,
@@ -271,14 +279,6 @@ class SymbolicField:
 
     def var(self, name):
         return self.from_poly(LaurentPolynomial.var(self.context, name))
-
-    @property
-    def zero(self):
-        return self.const(0)
-
-    @property
-    def one(self):
-        return self.const(1)
 
     def _add(self, a, b):
         n1, d1 = a
@@ -320,17 +320,14 @@ class SymbolicField:
         num, den = _parse_rf_string(self.context, text)
         return self._pair(num, den)
 
-    def __eq__(self, other):
-        return isinstance(other, SymbolicField) and self.context == other.context
-
-    def __hash__(self):
-        return hash(("symbolic", self.context))
+    def _key(self):
+        return self.context
 
     def __repr__(self):
         return "SymbolicField(%s)" % ",".join(self.context.names)
 
 
-class NumberField:
+class NumberField(Field):
     """Q[x]/(m(x)) for a monic modulus m, elements as coefficient tuples of
     length deg(m). A reducible modulus of degree 2 to 4 is refused; one of
     degree 5 or more is trusted to be irreducible, and a reducible one
@@ -356,14 +353,6 @@ class NumberField:
 
     def const(self, value):
         return self.element([Fraction(value)])
-
-    @property
-    def zero(self):
-        return self.const(0)
-
-    @property
-    def one(self):
-        return self.const(1)
 
     @property
     def gen(self):
@@ -439,15 +428,8 @@ class NumberField:
         p = parse_polynomial(VarContext((names[0],)), text)
         return cls(_coefficients(p), gen_name=names[0])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, NumberField)
-            and self.modulus == other.modulus
-            and self.gen_name == other.gen_name
-        )
-
-    def __hash__(self):
-        return hash(("algebraic", self.modulus, self.gen_name))
+    def _key(self):
+        return (self.modulus, self.gen_name)
 
     def __repr__(self):
         return "NumberField(%s)" % self.modulus_render()

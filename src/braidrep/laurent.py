@@ -4,13 +4,14 @@ scalar backend of braidrep.fields reads.
 
 A Laurent product takes one of three routes, chosen by input size alone.  A
 single-term operand shifts and scales the other.  With n1*n2 term pairs at
-least DENSE_MIN_PAIRS and an exponent box of at most n1*n2 cells,
-kronecker_mul packs each operand into one int and lets a single int product
-form every coefficient (Kronecker substitution); the box lies on the exponent
-lattice, a cell per (e - low) / step with the step the gcd of both operands'
-offsets per variable, and memoryview.cast reads the product's slots so that
-only nonzero cells become terms.  Every other product, and the tests'
-reference for the dense one, is sparse_mul, the term-pair loop.  Products
+least DENSE_MIN_PAIRS, an exponent box of at most n1*n2 cells and slots of
+at most 8 bytes, kronecker_mul packs each operand into one int and lets a
+single int product form every coefficient (Kronecker substitution); the box
+lies on the exponent lattice, a cell per (e - low) / step with the step the
+gcd of both operands' offsets per variable, and memoryview.cast reads the
+product's slots so that only nonzero cells become terms.  Every other
+product, and the tests' reference for the dense one, is sparse_mul, the
+term-pair loop.  Products
 and sums of int coefficients stay ints and a negation keeps each coefficient's
 type, so these and exact divisions by a term go through one trusted
 constructor that skips the normalizing pass.
@@ -175,8 +176,7 @@ class LaurentPolynomial:
                                              reverse=True)]
 
     def leading_coeff(self):
-        if not self.terms:
-            return Fraction(0)
+        """The graded-lex leading coefficient of a nonzero polynomial."""
         return self.terms[max(zip(map(sum, self.terms), self.terms))[1]]
 
     def content(self):
@@ -249,7 +249,7 @@ def _shifted(terms, mono):
 def kronecker_mul(a, b, max_cells):
     """Product of two {exponent tuple: coefficient} dicts by Kronecker
     substitution, or None when the product's exponent box has more than
-    max_cells cells.
+    max_cells cells or a slot would need more than 8 bytes.
 
     The box lies on the exponent lattice: per variable, the step is the gcd
     of both operands' exponent offsets from their lowest exponents, a cell
@@ -261,7 +261,7 @@ def kronecker_mul(a, b, max_cells):
     such sum: adding 2^(k-1) to every k-bit slot makes each one nonnegative,
     so no slot borrows from the next, and flipping that bit back leaves each
     coefficient in k-bit two's complement.  A slot of 1, 2, 4 or 8 bytes is
-    read by memoryview.cast; a wider one by int.from_bytes.
+    read by memoryview.cast.
     """
     if not a or not b:
         return {}
@@ -279,18 +279,14 @@ def kronecker_mul(a, b, max_cells):
     bound = (max(map(abs, ints_a.values())) * max(map(abs, ints_b.values()))
              * min(len(a), len(b)))
     width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()
+    if width > 8:
+        return None
+    width = 1 << (width - 1).bit_length()
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * cells, "little")
     packed = (_pack(ints_a, width, cells) * _pack(ints_b, width, cells) + bias) ^ bias
-    if width <= 8:
-        # the cast reads native byte order; big-endian bytes reverse the cells
-        slots = memoryview(packed.to_bytes(width * cells, sys.byteorder)).cast(
-            _SLOT_FORMATS[width])[::1 if sys.byteorder == "little" else -1]
-    else:
-        data = packed.to_bytes(width * cells, "little")
-        slots = [int.from_bytes(data[i:i + width], "little", signed=True)
-                 for i in range(0, len(data), width)]
+    # the cast reads native byte order; big-endian bytes reverse the cells
+    slots = memoryview(packed.to_bytes(width * cells, sys.byteorder)).cast(
+        _SLOT_FORMATS[width])[::1 if sys.byteorder == "little" else -1]
     # product() counts the last variable fastest, as the cells do
     monos = product(*(range(x + y, x + y + size * step, step)
                       for x, y, step, size in zip(lows_a, lows_b, steps, sizes)))

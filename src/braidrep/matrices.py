@@ -40,11 +40,7 @@ class SquareMatrix:
         for r in rows:
             if len(r) != n:
                 raise ValueError("matrix is not square")
-            for x in r:
-                if not isinstance(x, Scalar):
-                    raise TypeError("matrix entries must be Scalars")
-                if x.field is not field and x.field != field:
-                    raise BackendMismatch("matrix entry from a different field")
+            _refuse_foreign(field, r)
         self.field = field
         self.rows = rows
 
@@ -155,6 +151,16 @@ class SquareMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(x.render() for x in r) for r in self.rows)
         return f"SquareMatrix[{body}]"
+
+
+def _refuse_foreign(field, values):
+    """Refuse any value that is not a Scalar of field: TypeError for a
+    non-Scalar, BackendMismatch for a Scalar of another field."""
+    for x in values:
+        if not isinstance(x, Scalar):
+            raise TypeError("entries must be Scalars")
+        if x.field is not field and x.field != field:
+            raise BackendMismatch("entry from a different field")
 
 
 def dot(row, col):
@@ -317,12 +323,7 @@ class RowSpace:
         v = list(vector)
         if len(v) != self.ncols:
             raise ValueError(f"vector of length {len(v)} in a row space of width {self.ncols}")
-        field = self.field
-        for x in v:
-            if not isinstance(x, Scalar):
-                raise TypeError("row space entries must be Scalars")
-            if x.field is not field and x.field != field:
-                raise BackendMismatch("vector entry from a different field")
+        _refuse_foreign(self.field, v)
         return v
 
     def reduce(self, vector):

@@ -41,10 +41,10 @@ class RepSpec:
     dim 4 (D^2 = l2*l3/(l1*l4)) and gamma for dim 5 (gamma^5 = prod of
     eigenvalues).  binomial: dim is the matrix size (2..8), eigenvalues is the
     parameter list lambda_0..lambda_{size-1} with lambda_i*lambda_{size-1-i}
-    constant.
+    constant.  det is the eigenvalue product, det(A).
     """
 
-    __slots__ = ("family", "dim", "field", "eigenvalues", "root_param")
+    __slots__ = ("family", "dim", "field", "eigenvalues", "root_param", "det")
 
     def __init__(self, family, eigenvalues, root_param=None):
         eigenvalues = tuple(eigenvalues)
@@ -95,9 +95,7 @@ class RepSpec:
         self.field = field
         self.eigenvalues = eigenvalues
         self.root_param = root_param
-
-    def eigenvalue_product(self):
-        return math.prod(self.eigenvalues[1:], start=self.eigenvalues[0])
+        self.det = det
 
 
 class Rep:
@@ -291,7 +289,7 @@ class StructureReport:
     """
 
     __slots__ = (
-        "braid_ok", "triangular_ok", "skew_diag_ok", "sigma", "sigmas",
+        "braid_ok", "triangular_ok", "skew_diag_ok", "sigma",
         "delta", "delta_power_ok", "b_symmetry_ok", "ba_skew_ok",
         "ba_zero_ok", "corner_ok", "strict_symmetry", "sign_pattern_ok",
     )
@@ -339,7 +337,6 @@ def structure_report(rep):
 
     report.skew_diag_ok = aba.zero_outside(lambda i, j: i + j == d + 1)
     sigmas = [aba.entry(i, d + 1 - i) for i in range(1, d + 1)]
-    report.sigmas = tuple(sigmas)
     report.sigma = sigmas[0]
 
     delta = (aba * aba).scalar_value()
@@ -426,9 +423,10 @@ def rep_to_json_dict(rep):
 
 def rep_from_json_dict(data):
     """The Rep of a decoded JSON object.  Refused with a ValueError that names
-    the field: a missing family, dim, eigenvalues, A or B; a non-list where a
-    list belongs (variables, eigenvalues, A, B or a matrix row); a non-string
-    variable, modulus, eigenvalue, root_param or matrix entry."""
+    the field: a missing family, dim, eigenvalues, A or B; a dim that is not
+    a JSON integer; a non-list where a list belongs (variables, eigenvalues,
+    A, B or a matrix row); a non-string variable, modulus, eigenvalue,
+    root_param or matrix entry."""
     if not isinstance(data, dict):
         raise ValueError("the top level must be an object")
     for key in ("family", "dim", "eigenvalues", "A", "B"):
@@ -447,6 +445,8 @@ def rep_from_json_dict(data):
     root = data.get("root_param")
     root = None if root in (None, "") else field.parse(_text(root, "root_param"))
     spec = RepSpec(data["family"], eigs, root_param=root)
+    if type(data["dim"]) is not int:  # a bool is an int to isinstance
+        raise ValueError("dim must be an integer")
     if spec.dim != data["dim"]:
         raise RepSpecError("dimension does not match eigenvalue count")
     a, b = (

@@ -14,7 +14,10 @@ from .reps import CLASSIFIED, RepSpec, solved_classified_spec
 
 def small_fraction(rng, bound=10):
     """Nonzero rational with |numerator| and denominator at most bound."""
-    num = rng.choice([n for n in range(-bound, bound + 1) if n != 0])
+    # one draw from the 2*bound nonzero numerators -bound..-1, 1..bound, as
+    # rng.choice would make from their list, without building it
+    k = rng.randrange(2 * bound)
+    num = k - bound if k < bound else k - bound + 1
     den = rng.randint(1, bound)
     return Fraction(num, den)
 

@@ -146,6 +146,36 @@ def test_construct_dim3_bytes(capsys, spec, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("params, fmt, digest", [
+    (["--eig", "1", "--eig", "2", "--eig", "4"], "json",
+     "e358757b6adb8850864e5e6fc9b09461daa90400dc9dfb40811ec4575c0c823a"),
+    (["--eig", "1", "--eig", "2", "--eig", "4"], "text",
+     "f0160657c716aba4b5f8c07e18fc12ad69c96ae318219b611acf168d59a7d7b1"),
+    (["--modulus", "z^2+1", "--eig", "z", "--eig", "1", "--eig", "2", "--eig=-2*z"], "json",
+     "76fc2d3216b0e1b2d25a53a40bb395d125c4e222d5dafc75dab9347954b3dee2"),
+    (["--modulus", "z^2+1", "--eig", "z", "--eig", "1", "--eig", "2", "--eig=-2*z"], "text",
+     "e03271d5278ce21a229bf55312e5ef7020daf24e0e14f9e4c3c826feb3b77aa1"),
+])
+def test_construct_binomial_bytes(capsys, params, fmt, digest):
+    code, out, err = run_cli(capsys, ["construct", "--family", "binomial", *params,
+                                      "--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--dim", "4", "--eig", "1", "--eig", "2", "--eig", "4"],
+     "--dim 4 does not match 3 --eig values"),
+    ([], "need --eig parameter values"),
+    (["--dim", "3"], "need --eig parameter values"),
+    (["--eig", "1", "--eig", "2", "--D", "1"], "the binomial family takes no root parameter"),
+    (["--eig", "1", "--eig", "2", "--gamma", "1"], "the binomial family takes no root parameter"),
+], ids=["dim-mismatch", "no-eig", "dim-without-eig", "D", "gamma"])
+def test_construct_binomial_refusals(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["construct", "--family", "binomial", *argv])
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -246,12 +276,17 @@ PAIR_A_B = {
     (json.dumps({**PAIR_1_2, "A": [[1, 1], [0, 2]]}), "an entry of A must be a string"),
     (json.dumps({**PAIR_1_2, "B": [["2", "0"], ["-2", 1]]}), "an entry of B must be a string"),
     (json.dumps({**PAIR_1_2, "modulus": 5}), "modulus must be a string"),
+    # a dim that is not a JSON integer; 2.0 was once read as 2
+    (json.dumps({**PAIR_1_2, "dim": "2"}), "dim must be an integer"),
+    (json.dumps({**PAIR_1_2, "dim": True}), "dim must be an integer"),
+    (json.dumps({**PAIR_1_2, "dim": [2]}), "dim must be an integer"),
+    (json.dumps({**PAIR_1_2, "dim": 2.0}), "dim must be an integer"),
 ] + [
     (json.dumps({k: v for k, v in PAIR_1_2.items() if k != key}), "missing field %r" % key)
     for key in ("family", "dim", "eigenvalues", "A", "B")
 ], ids=["list", "string", "number", "eigenvalues", "variables", "A-rows", "B-row",
         "A-object", "eigenvalue-number", "root-list", "A-numbers", "B-number",
-        "modulus-number", "no-family", "no-dim", "no-eigenvalues", "no-A", "no-B"])
+        "modulus-number", "dim-string", "dim-bool", "dim-list", "dim-float", "no-family", "no-dim", "no-eigenvalues", "no-A", "no-B"])
 def test_verify_refuses_json_of_the_wrong_shape(text, named):
     result = subprocess.run(
         [sys.executable, "-m", "braidrep", "verify"], input=text, capture_output=True, text=True,

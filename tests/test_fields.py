@@ -8,8 +8,10 @@ import time
 import pytest
 
 from braidrep import dims, laurent
+from braidrep.factored import FactoredField
 from braidrep.fields import (
     BackendMismatch,
+    Field,
     LaurentPolynomial,
     NumberField,
     ParseError,
@@ -91,6 +93,37 @@ def test_backend_mismatch_raises():
         k.gen + f.one
     with pytest.raises(BackendMismatch):
         q.one - k.gen
+
+
+def test_every_backend_takes_zero_one_and_equality_from_field():
+    for backend in (RationalField, SymbolicField, NumberField, FactoredField):
+        assert issubclass(backend, Field)
+        assert not {"zero", "one", "__eq__", "__hash__"} & set(vars(backend))
+
+
+def test_fields_with_equal_keys_compare_and_hash_equal():
+    uw = VarContext(("u", "w"))
+    equal = [
+        (RationalField(), RationalField()),
+        (SymbolicField(uw), SymbolicField(VarContext(("u", "w")))),
+        (FactoredField(uw), FactoredField(VarContext(("u", "w")))),
+        (NumberField([1, 0, 1]), NumberField.from_modulus_string("z^2+1")),
+        (cyclotomic_field(5), cyclotomic_field(5)),
+    ]
+    for a, b in equal:
+        assert a is not b
+        assert a == b and b == a and hash(a) == hash(b) and len({a, b}) == 1
+        assert a.zero == b.zero and a.one == b.one and a.zero != a.one
+    unequal = [
+        (SymbolicField(uw), FactoredField(uw)),
+        (SymbolicField(uw), SymbolicField(VarContext(("w", "u")))),
+        (NumberField([1, 0, 1]), NumberField([1, 0, 1], gen_name="t")),
+        (NumberField([1, 1, 1]), NumberField([1, 0, 1])),
+        (RationalField(), SymbolicField(VarContext(()))),
+        (RationalField(), None),
+    ]
+    for a, b in unequal:
+        assert a != b and b != a
 
 
 def test_int_and_fraction_promotion():
@@ -402,6 +435,31 @@ def test_leading_coeff_is_the_first_rendered_term():
 ANY_BOX = 10 ** 9
 
 
+def slot_bytes(a, b):
+    """Bytes per slot, sign bit included, that kronecker_mul's bound asks
+    for: each operand scaled to integers by the lcm of its denominators,
+    the largest magnitudes multiplied, times the shorter operand's length."""
+    def largest(terms):
+        scale = lcm(*(c.denominator for c in terms.values()))
+        return max(int(abs(c) * scale) for c in terms.values())
+
+    return (largest(a) * largest(b) * min(len(a), len(b))).bit_length() // 8 + 1
+
+
+def assert_products_agree(ctx, a, b, max_cells=ANY_BOX):
+    """kronecker_mul equals sparse_mul when a slot fits 8 bytes and is None
+    when it does not; the Laurent product equals sparse_mul either way.
+    Returns whether the slots were too wide for the dense route."""
+    expected = sparse_mul(a, b)
+    wide = bool(a and b) and slot_bytes(a, b) > 8
+    if wide:
+        assert kronecker_mul(a, b, max_cells) is None
+    else:
+        assert kronecker_mul(a, b, max_cells) == expected
+    assert (LaurentPolynomial(ctx, a) * LaurentPolynomial(ctx, b)).terms == expected
+    return wide
+
+
 def test_kronecker_mul_matches_sparse_mul():
     # hypothesis draws derandomized, so every run checks the same samples
     hypothesis = pytest.importorskip("hypothesis")
@@ -415,20 +473,23 @@ def test_kronecker_mul_matches_sparse_mul():
         ),
     )
 
-    def term_dicts(nvars):
+    def polynomials(nvars):
         ctx = VarContext(("x", "y", "z")[:nvars])
         monos = st.tuples(*[st.integers(-4, 4)] * nvars)
         return st.dictionaries(monos, coefficients, max_size=12).map(
-            lambda terms: LaurentPolynomial(ctx, terms).terms
+            lambda terms: LaurentPolynomial(ctx, terms)
         )
 
+    seen = set()
+
     @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @hypothesis.given(st.integers(1, 3).flatmap(lambda n: st.tuples(term_dicts(n), term_dicts(n))))
+    @hypothesis.given(st.integers(1, 3).flatmap(lambda n: st.tuples(polynomials(n), polynomials(n))))
     def check(pair):
         a, b = pair
-        assert kronecker_mul(a, b, ANY_BOX) == sparse_mul(a, b)
+        seen.add(assert_products_agree(a.context, a.terms, b.terms))
 
     check()
+    assert seen == {False, True}
 
 
 def test_kronecker_mul_matches_sparse_mul_on_lattices():
@@ -460,13 +521,13 @@ def test_kronecker_mul_matches_sparse_mul_on_lattices():
         (steps_a, a), (steps_b, b) = pair
         ctx = VarContext(("x", "y", "z")[:len(steps_a)])
         a, b = LaurentPolynomial(ctx, a).terms, LaurentPolynomial(ctx, b).terms
-        expected = sparse_mul(a, b)
-        assert kronecker_mul(a, b, ANY_BOX) == expected
+        wide = assert_products_agree(ctx, a, b)
         cells = 1
         for i, (sa, sb) in enumerate(zip(steps_a, steps_b)):
             spans = [max(m[i] for m in t) - min(m[i] for m in t) for t in (a, b) if t]
             cells *= sum(spans) // gcd(sa, sb) + 1
-        assert kronecker_mul(a, b, cells) == expected
+        assert assert_products_agree(ctx, a, b, cells) == wide
+        seen.add("wide slots" if wide else "narrow slots")
         for t in (a, b):
             seen.add(min(len(t), 2))
             seen.update(type(c) for c in t.values())
@@ -474,7 +535,8 @@ def test_kronecker_mul_matches_sparse_mul_on_lattices():
         seen.update(("steps differ",) if steps_a != steps_b else ())
 
     check()
-    assert seen == {0, 1, 2, int, Fraction, "negative", "steps differ"}
+    assert seen == {0, 1, 2, int, Fraction, "negative", "steps differ",
+                    "wide slots", "narrow slots"}
 
 
 def record_routes(monkeypatch):
@@ -565,7 +627,7 @@ def test_kronecker_mul_edge_operands():
     zero = LaurentPolynomial(ctx, {})
     for a in (dense, big_den, one_term, zero):
         for b in (dense, big_den, one_term, zero):
-            assert kronecker_mul(a.terms, b.terms, ANY_BOX) == sparse_mul(a.terms, b.terms)
+            assert_products_agree(ctx, a.terms, b.terms)
     assert kronecker_mul(zero.terms, dense.terms, ANY_BOX) == {}
 
 
@@ -640,7 +702,8 @@ LINE = ((-1, 1), (0, 0), (1, -1))
 def test_kronecker_mul_slot_widths(bits):
     # A slot of k bits holds -2^(k-1) .. 2^(k-1) - 1: a largest slot sum just
     # below 2^bits fits the narrower slot, one just above needs the next
-    # width (1, 2, 4 or 8 bytes, then a wide slot past 2^63).
+    # width (1, 2, 4 or 8 bytes); past 2^63 kronecker_mul refuses and the
+    # Laurent product runs sparse_mul.
     ctx = VarContext(("x", "y"))
     below = 2 ** bits // 3
     for c, side in ((below, -1), (below + 1, 1)):
@@ -650,10 +713,10 @@ def test_kronecker_mul_slot_widths(bits):
                 assert Fraction(c, den).denominator == den
                 a = LaurentPolynomial(ctx, {m: Fraction(sign * c, den) for m in LINE}).terms
                 b = LaurentPolynomial(ctx, {m: 1 for m in LINE}).terms
-                expected = sparse_mul(a, b)
-                assert expected[(0, 0)] == Fraction(3 * sign * c, den)
-                assert kronecker_mul(a, b, ANY_BOX) == expected
-                assert kronecker_mul(b, a, ANY_BOX) == expected
+                assert sparse_mul(a, b)[(0, 0)] == Fraction(3 * sign * c, den)
+                wide = bits > 63 or (bits == 63 and side > 0)
+                assert assert_products_agree(ctx, a, b) == wide
+                assert assert_products_agree(ctx, b, a) == wide
 
 
 def old_normalized(num, den):

@@ -288,6 +288,18 @@ def test_row_space_refuses_a_scalar_from_another_backend():
         RowSpace(q, 2).insert([1, 2])
 
 
+def test_matrices_and_row_spaces_refuse_foreign_entries_alike():
+    q, k = RationalField(), cyclotomic_field(5)
+    entry_points = (lambda field, row: SquareMatrix(field, [row, row]),
+                    lambda field, row: RowSpace(field, 2).insert(row))
+    for build in entry_points:
+        with pytest.raises(BackendMismatch, match="^entry from a different field$"):
+            build(q, [q.one, k.one])
+        with pytest.raises(TypeError, match="^entries must be Scalars$") as refused:
+            build(q, [q.one, 1])
+        assert not isinstance(refused.value, BackendMismatch)
+
+
 HUGE = Fraction(10**30, 7**20)
 
 

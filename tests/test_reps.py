@@ -1,7 +1,9 @@
 """Builders, braid relation, and structural identities for both families."""
 
+from fractions import Fraction
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,7 +26,7 @@ from braidrep.reps import (
     verify_braid,
     verify_ordered_triangular,
 )
-from braidrep.samplers import random_classified_spec
+from braidrep.samplers import random_classified_spec, small_fraction
 
 from helpers import random_binomial_params
 from oracles import binomial_identity_check, verify_lemma_identities, verify_skew_criterion
@@ -345,3 +347,25 @@ def test_json_round_trip_binomial():
     assert back.A == rep.A and back.B == rep.B
     assert back.spec.family == BINOMIAL
     assert back.spec.eigenvalues[0] * back.spec.eigenvalues[-1] == c
+
+
+def test_small_fraction_draws_what_a_choice_from_the_numerator_list_draws():
+    for seed in range(4):
+        for bound in range(1, 31):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                num = ref.choice([n for n in range(-bound, bound + 1) if n != 0])
+                assert small_fraction(rng, bound) == Fraction(num, ref.randint(1, bound))
+            assert rng.getstate() == ref.getstate()
+
+
+def test_small_fraction_builds_no_list_of_numerators():
+    rng = random.Random(5)
+    small_fraction(rng, 10 ** 5)
+    tracemalloc.start()
+    try:
+        small_fraction(rng, 10 ** 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
