@@ -5,12 +5,15 @@ polynomials in the eigenvalues (and root parameter) vanishes.  The criterion
 lives in the Q scalars: for each index pair r != s, the triple product
 P_r(A) P_s(B) P_r(A) is a scalar multiple Q_rs of the rank-one matrix P_r(A),
 and the pair is simple iff every Q_rs is nonzero.  This module evaluates the
-closed forms of Q_rs and of the central scalar from a classified RepSpec
-(q_from_spec and delta_from_spec, which read the root parameter through one
-bridge, _root_square), recomputes Q_rs from the defining matrix identity as
-an independent route, and cross-checks the verdict against a
-generated-algebra span oracle that knows nothing about the closed forms
-(Norton's irreducibility test, with the span of words as its fallback).
+closed forms of Q_rs and of the central scalar from a classified RepSpec:
+q_scalars is the one evaluation of the Q closed forms, forming each factor
+that several pairs share once per call, q_from_spec is its per-pair
+wrapper, and delta_from_spec gives the central scalar; both read the root
+parameter through one bridge, _root_square.  The module also recomputes
+Q_rs from the defining matrix identity as an independent route, and
+cross-checks the verdict against a generated-algebra span oracle that
+knows nothing about the closed forms (Norton's irreducibility test, with
+the span of words as its fallback).
 
 Every check is exact; nothing here tolerates approximation.
 """
@@ -50,45 +53,100 @@ def _root_square(spec):
     return spec.root_param ** 2
 
 
-def q_from_spec(spec, r, s):
-    """Closed form of the Q scalar of a classified spec for an index pair r != s.
+class _Once(dict):
+    """A table whose value at a key is make(key), formed on first lookup."""
 
-    The root parameter enters through _root_square, and in dimension 5 also
-    as the fifth root itself.
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def q_scalars(spec, pairs):
+    """Closed forms of the Q scalars of a classified spec: {(r, s): Q_rs}.
+
+    The one evaluation of the closed forms; q_from_spec is its per-pair
+    wrapper.  pairs is a list of ordered index pairs r != s in 1..d, and
+    the result keeps its order.  Within one call each subexpression that
+    pairs share is formed once: the root square (_root_square), the leading
+    factor (-(g^2)^-1 in dimension 4, g^-8 in dimension 5), and each entry
+    of the factor table, the latter only when a requested pair needs it.
+    Q_rs is a product of table entries:
+
+      d = 2: Q_rs = -l_r^2 + l_r*l_s - l_s^2, no table;
+      d = 3: Q_rs = F_r F_s, with F_i = l_i^2 + l_j*l_k;
+      d = 4: Q_rs = -(g^2)^-1 (l_r^2+g^2)(l_s^2+g^2) times the two
+             g^2 + l_a*l_b + l_c*l_e whose pairing {a,b | c,e} separates r and s;
+      d = 5: Q_rs = g^-8 (g^2+g*l_r+l_r^2)(g^2+g*l_s+l_s^2) times
+             g^2 + l_i*l_k for every i in {r, s} and k outside it.
+
+    Each pair multiplies its factors in its own order, r's before s's, so
+    Q_rs and Q_sr are two different products.  The root parameter enters
+    through _root_square, and in dimension 5 also as the fifth root itself.
     """
     if spec.family != CLASSIFIED:
         raise RepSpecError("Q scalars apply to the classified family")
     d = spec.dim
-    if r == s:
-        raise ValueError("Q is defined for distinct indices only")
-    if not (1 <= r <= d and 1 <= s <= d):
-        raise ValueError("indices out of range")
-    lam = {i: spec.eigenvalues[i - 1] for i in range(1, d + 1)}
-    lr, ls = lam[r], lam[s]
+    for r, s in pairs:
+        if r == s:
+            raise ValueError("Q is defined for distinct indices only")
+        if not (1 <= r <= d and 1 <= s <= d):
+            raise ValueError("indices out of range")
+    lam = dict(enumerate(spec.eigenvalues, start=1))
     if d == 2:
-        return -(lr ** 2) + lr * ls - ls ** 2
+        return {
+            (r, s): -(lam[r] ** 2) + lam[r] * lam[s] - lam[s] ** 2 for r, s in pairs
+        }
     if d == 3:
-        k = ({1, 2, 3} - {r, s}).pop()
-        lk = lam[k]
-        return (lr ** 2 + ls * lk) * (ls ** 2 + lr * lk)
-    if d == 4:
-        g2 = _root_square(spec)
-        k, l = sorted({1, 2, 3, 4} - {r, s})
-        lk, ll = lam[k], lam[l]
-        return (
-            -(g2.inv())
-            * (lr ** 2 + g2) * (ls ** 2 + g2)
-            * (g2 + lr * lk + ls * ll) * (g2 + lr * ll + ls * lk)
-        )
-    g = spec.root_param
+        def factor(i):
+            j, k = sorted({1, 2, 3} - {i})
+            return lam[i] ** 2 + lam[j] * lam[k]
+
+        factors = _Once(factor)
+        return {(r, s): factors[r] * factors[s] for r, s in pairs}
     g2 = _root_square(spec)
-    out = g ** -8
-    out = out * (g2 + lr * g + lr ** 2) * (g2 + ls * g + ls ** 2)
-    for k in range(1, 6):
-        if k in (r, s):
-            continue
-        out = out * (g2 + lr * lam[k]) * (g2 + ls * lam[k])
+    if d == 4:
+        lead = -(g2.inv())
+        squares = _Once(lambda i: lam[i] ** 2 + g2)
+
+        def pairing(j):
+            # the pairing {1, j | a, b} of 1..4, named by the partner of 1
+            a, b = sorted({2, 3, 4} - {j})
+            return g2 + lam[1] * lam[j] + lam[a] * lam[b]
+
+        pairings = _Once(pairing)
+        out = {}
+        for r, s in pairs:
+            k, l = sorted({1, 2, 3, 4} - {r, s})
+            # the pairings {r, k | s, l} and {r, l | s, k}, each named by
+            # the other index of its block that holds 1
+            first = r + k - 1 if 1 in (r, k) else s + l - 1
+            second = r + l - 1 if 1 in (r, l) else s + k - 1
+            out[r, s] = lead * squares[r] * squares[s] * pairings[first] * pairings[second]
+        return out
+    g = spec.root_param
+    lead = g ** -8
+    squares = _Once(lambda i: g2 + lam[i] * g + lam[i] ** 2)
+    links = _Once(lambda ik: g2 + lam[ik[0]] * lam[ik[1]])
+    out = {}
+    for r, s in pairs:
+        q = lead * squares[r] * squares[s]
+        for k in range(1, 6):
+            if k not in (r, s):
+                q = q * links[min(r, k), max(r, k)] * links[min(s, k), max(s, k)]
+        out[r, s] = q
     return out
+
+
+def q_from_spec(spec, r, s):
+    """Closed form of the Q scalar of a classified spec for one index pair
+    r != s: q_scalars for that pair alone."""
+    return q_scalars(spec, [(r, s)])[r, s]
 
 
 def delta_from_spec(spec):
@@ -243,11 +301,8 @@ def is_simple(spec):
     """
     if spec.family != CLASSIFIED:
         raise RepSpecError("simplicity classification applies to the classified family")
-    d = spec.dim
-    q_all_nonzero = all(
-        not q_from_spec(spec, r, s).is_zero()
-        for r, s in combinations(range(1, d + 1), 2)
-    )
+    pairs = list(combinations(range(1, spec.dim + 1), 2))
+    q_all_nonzero = not any(q.is_zero() for q in q_scalars(spec, pairs).values())
     vanishing = [
         (gen.label, gen.indices)
         for gen in obstruction_generators(spec)

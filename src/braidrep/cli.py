@@ -18,7 +18,7 @@ import os
 import random
 import sys
 
-from .classify import burnside_oracle, deligne_check, is_simple, q_from_spec, sl2z_flags
+from .classify import burnside_oracle, deligne_check, is_simple, q_scalars, sl2z_flags
 from .dims import verify_series
 from .fields import NumberField, RationalField, ZeroDivisorError
 from .reps import (
@@ -226,7 +226,7 @@ def cmd_qpoly(args):
     else:
         pairs = [(r, s) for r in range(1, d + 1) for s in range(r + 1, d + 1)]
     out = [
-        {"r": r, "s": s, "q": q_from_spec(spec, r, s).render()} for r, s in pairs
+        {"r": r, "s": s, "q": q.render()} for (r, s), q in q_scalars(spec, pairs).items()
     ]
     if args.format == "json":
         print(json.dumps({"dim": d, "pairs": out}, indent=2))

@@ -27,7 +27,7 @@ disagrees is explained by the atoms of catalog/route (DimReport.mismatch).
 from collections import namedtuple
 import math
 
-from .classify import q_from_spec
+from .classify import q_scalars
 from .fields import SymbolicField, VarContext
 from .reps import CLASSIFIED, RepSpec
 
@@ -142,8 +142,8 @@ def route_table(spec):
          for i, lam in enumerate(eigs, start=1)}
     if any(value.is_zero() for value in p.values()):
         raise ValueError("eigenprojection value vanished; eigenvalues must be distinct")
-    q1 = {i: q_from_spec(spec, 1, i) for i in range(2, spec.dim + 1)}
-    return p, q1
+    q = q_scalars(spec, [(1, i) for i in range(2, spec.dim + 1)])
+    return p, {s: value for (_, s), value in q.items()}
 
 
 def summand_dim(table, dim_z, i):

@@ -7,6 +7,7 @@ instances because the fully symbolic sweep is slow, and the acceptance
 suite covers it with a large specialized sample.
 """
 
+from itertools import combinations
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from braidrep.classify import (
     p_poly,
     q_from_spec,
     q_oracle,
+    q_scalars,
     sl2z_flags,
     westbury_dims,
     word_span_oracle,
@@ -31,6 +33,7 @@ from braidrep.fields import (
     RationalField,
     cyclotomic_field,
     horner,
+    root_of_unity,
 )
 from braidrep import matrices
 from braidrep.matrices import SquareMatrix, dot, nullspace_basis, nullspace_dim
@@ -42,6 +45,7 @@ from braidrep.reps import (
     build_binomial_rep,
     build_rep,
     rescale_basis,
+    solved_classified_spec,
     structure_report,
     symbolic_classified_spec,
 )
@@ -87,6 +91,65 @@ def test_q_closed_dim3_frozen_values():
     assert q_of(vals, 1, 2) == Q.const(49)
     assert q_of(vals, 1, 3) == Q.const(77)
     assert q_of(vals, 2, 3) == Q.const(77)
+
+
+def assert_q_table(eigenvalues, root, table):
+    # every pair in both orders, per pair and in one shared evaluation
+    spec = RepSpec(
+        CLASSIFIED, [Q.parse(x) for x in eigenvalues], root_param=Q.parse(root)
+    )
+    ordered = list(table) + [(s, r) for r, s in table]
+    shared = q_scalars(spec, ordered)
+    assert list(shared) == ordered
+    for (r, s), text in table.items():
+        value = Q.parse(text)
+        assert q_from_spec(spec, r, s) == value, (r, s)
+        assert q_from_spec(spec, s, r) == value, (s, r)
+        assert shared[r, s] == value and shared[s, r] == value, (r, s)
+
+
+# Frozen values of the per-pair closed forms at two seeded specs per
+# dimension (random_classified_spec with bound 5, random.Random seeds 41
+# and 42 at d = 4, 40 and 41 at d = 5: distinct eigenvalues, distinct Q
+# values), so the shared factor table is compared with a record rather
+# than with itself.
+def test_q_closed_dim4_frozen_values():
+    assert_q_table(["2/3", "-1", "2/5", "-15"], "-1/5", {
+        (1, 2): "39886/75", (1, 3): "-12936/125", (1, 4): "9054122/405",
+        (2, 3): "32634/125", (2, 4): "-66738/5", (3, 4): "22223754/625",
+    })
+    assert_q_table(["-4", "-1/2", "-1", "-25/128"], "-4/5", {
+        (1, 2): "-6888861/327680", (1, 3): "1557549/163840",
+        (1, 4): "-42265130481/536870912", (2, 3): "-1608201/1310720",
+        (2, 4): "24350949/67108864", (3, 4): "-107701461/134217728",
+    })
+
+
+def test_q_closed_dim5_frozen_values():
+    assert_q_table(["3/5", "4", "-2/3", "-1", "5/1944"], "1/3", {
+        (1, 2): "2350787566127/1594323000",
+        (1, 3): "703699909451/15943230000",
+        (1, 4): "1171920573551/12754584000",
+        (1, 5): "4100439641051819351/16267941301305600000",
+        (2, 3): "212696440957/191318760",
+        (2, 4): "2737973018473/956593800",
+        (2, 5): "5939006704857490033/13881976577114112",
+        (3, 4): "10847585749/382637520",
+        (3, 5): "804897170277109/3856104604753920",
+        (4, 5): "2193644285923321/1735247072139264",
+    })
+    assert_q_table(["2/3", "-1", "2/5", "-1/5", "-75/4096"], "-1/4", {
+        (1, 2): "329803033497/1342177280000",
+        (1, 3): "96439019789/50331648000000",
+        (1, 4): "9365988060863/905969664000000",
+        (1, 5): "21878059929835206839/3501999070243297689600",
+        (2, 3): "1440196418311/33554432000000",
+        (2, 4): "1189631974293/67108864000000",
+        (2, 5): "410607657912045069/7205759403792793600",
+        (3, 4): "7744443425523/838860800000000",
+        (3, 5): "2548362578482842219/9007199254740992000000",
+        (4, 5): "221401973290566817/4503599627370496000000",
+    })
 
 
 def test_q_symmetric_in_the_pair():
@@ -234,6 +297,104 @@ def test_is_simple_symbolic_generic_point():
         _, spec = symbolic_classified_spec(d)
         report = is_simple(spec)
         assert report.simple is True
+
+
+def placed(values, first):
+    # values[0], values[1], ... at the 1-based positions first, in order,
+    # then the rest at the remaining positions in increasing order
+    rest = [i for i in range(1, len(values) + 1) if i not in first]
+    out = dict(zip(list(first) + rest, values))
+    return [out[i] for i in range(1, len(values) + 1)]
+
+
+def one_generator_specs():
+    """(spec, label) for every obstruction generator in dimensions 3 to 5,
+    each spec solved so that this generator vanishes.
+
+    Dimension 5 permutes one solved spec (gamma^5 = det is symmetric), and
+    dimension 4 swaps l1 with l4 or l2 with l3, which keeps D^2 and
+    g^2 = l2*l3/D.  The d = 4 pairings and the d = 5 family
+    g^2 + g*l_i + l_i^2 vanish only with a primitive cube root w of unity,
+    so those specs are over Q(zeta_3).
+    """
+    out = []
+    two, three = Q.const(2), Q.const(3)
+    for i in (1, 2, 3):
+        j, k = sorted({1, 2, 3} - {i})
+        spec = RepSpec(CLASSIFIED, placed([two, three, -two ** 2 / three], (i, j)))
+        out.append((spec, "l%d^2+l%d*l%d" % (i, j, k)))
+
+    l1, l2, l3 = Q.const(2), Q.const(3), Q.const(5)
+    first = solved_classified_spec([l1, l2, l3], -(l2 * l3) / l1 ** 2)
+    a, b, c, e = first.eigenvalues
+    out.append((first, "l1^2+g^2"))
+    out.append((solved_classified_spec([l1, l2, l3], -l3 / l2), "l2^2+g^2"))
+    out.append((solved_classified_spec([l1, l2, l3], -l2 / l3), "l3^2+g^2"))
+    out.append((RepSpec(CLASSIFIED, [e, b, c, a], first.root_param), "l4^2+g^2"))
+    z3 = cyclotomic_field(3)
+    w = root_of_unity(z3, 3)
+    m1, m4, dd = z3.const(2), z3.const(3), z3.const(5)
+    # g^2 = D*l1*l4, so g^2 + l1*l4 + l2*l3 = l1*l4*(D + 1 + D^2)
+    out.append((solved_classified_spec([m1, z3.const(3), z3.const(5)], w),
+                "g^2+l1*l4+l2*l3"))
+    # l1*l2 = w*g^2 and l3*l4 = w^2*g^2
+    m2, m3 = w * dd * m4, w * w * dd * m1
+    out.append((RepSpec(CLASSIFIED, [m1, m2, m3, m4], dd), "g^2+l1*l2+l3*l4"))
+    out.append((RepSpec(CLASSIFIED, [m1, m3, m2, m4], dd), "g^2+l1*l3+l2*l4"))
+
+    g = Q.const(2)
+    link = solved_classified_spec([three, -g ** 2 / three, Q.const(5), Q.const(-7)], g)
+    for i, k in combinations(range(1, 6), 2):
+        spec = RepSpec(CLASSIFIED, placed(link.eigenvalues, (i, k)), g)
+        out.append((spec, "g^2+l%d*l%d" % (i, k)))
+    g = z3.const(2)
+    square = solved_classified_spec([w * g, z3.const(3), z3.const(5), z3.const(-7)], g)
+    for i in range(1, 6):
+        spec = RepSpec(CLASSIFIED, placed(square.eigenvalues, (i,)), g)
+        out.append((spec, "g^2+g*l%d+l%d^2" % (i, i)))
+    return out
+
+
+def in_closed_form(generator, r, s):
+    """Whether the closed form of Q_rs has this generator as a factor."""
+    idx = generator.indices
+    if len(idx) == 4:  # d = 4 pairing {i, j | k, l}: r and s in different blocks
+        return {r, s} not in ({idx[0], idx[1]}, {idx[2], idx[3]})
+    if generator.label.startswith("g^2+l"):  # d = 5 link g^2 + l_i*l_k
+        return len({r, s} & set(idx)) == 1
+    # l_i^2 + l_j*l_k (d = 3), l_i^2 + g^2 (d = 4), g^2 + g*l_i + l_i^2 (d = 5)
+    return idx[0] in (r, s)
+
+
+def test_each_obstruction_generator_zeros_exactly_its_pair_scalars():
+    cases = one_generator_specs()
+    for d in (3, 4, 5):
+        # one spec per generator of the dimension
+        labels = [o.label for o in obstruction_generators(symbolic_classified_spec(d)[1])]
+        assert sorted(label for spec, label in cases if spec.dim == d) == sorted(labels)
+    for spec, label in cases:
+        d = spec.dim
+        report = is_simple(spec)
+        assert report.simple is False, label
+        assert [found for found, _ in report.vanishing_factors] == [label]
+        (generator,) = [o for o in obstruction_generators(spec) if o.label == label]
+        ordered = [(r, s) for r in range(1, d + 1) for s in range(1, d + 1) if r != s]
+        zero = {pair for pair, q in q_scalars(spec, ordered).items() if q.is_zero()}
+        assert zero == {pair for pair in ordered if in_closed_form(generator, *pair)}, label
+        assert zero, label
+
+
+def test_is_simple_cross_check_sees_a_dropped_generator(monkeypatch):
+    spec = degenerate_classified_spec(5, random.Random(31), bound=5)
+    real = classify.obstruction_generators
+    vanishing = [o.label for o in real(spec) if o.value.is_zero()]
+    assert len(vanishing) == 1
+    monkeypatch.setattr(
+        classify, "obstruction_generators",
+        lambda spec: [o for o in real(spec) if o.label not in vanishing],
+    )
+    with pytest.raises(RuntimeError, match="disagree on the zero locus"):
+        is_simple(spec)
 
 
 def test_classifier_agrees_with_burnside_span():

@@ -307,12 +307,14 @@ def test_route_table_entries_on_rational_inputs():
 
 
 def test_exceptional_refuses_vanishing_pair_scalar(monkeypatch):
-    real = dims.q_from_spec
+    real = dims.q_scalars
 
-    def vanishing_at_three(spec, r, s):
-        return spec.field.zero if (r, s) == (1, 3) else real(spec, r, s)
+    def vanishing_at_three(spec, pairs):
+        q = real(spec, pairs)
+        q[1, 3] = spec.field.zero
+        return q
 
-    monkeypatch.setattr(dims, "q_from_spec", vanishing_at_three)
+    monkeypatch.setattr(dims, "q_scalars", vanishing_at_three)
     with pytest.raises(RuntimeError, match="pair scalar vanished"):
         verify_series("exceptional")
 
@@ -320,13 +322,14 @@ def test_exceptional_refuses_vanishing_pair_scalar(monkeypatch):
 def test_exceptional_partition_catches_a_corrupted_summand(monkeypatch):
     # a doubled Q_13 leaves every pair scalar nonzero and changes only
     # the route of one summand, so only the partition check can see it
-    real = dims.q_from_spec
+    real = dims.q_scalars
 
-    def doubled_at_three(spec, r, s):
-        value = real(spec, r, s)
-        return value + value if (r, s) == (1, 3) else value
+    def doubled_at_three(spec, pairs):
+        q = real(spec, pairs)
+        q[1, 3] = q[1, 3] + q[1, 3]
+        return q
 
-    monkeypatch.setattr(dims, "q_from_spec", doubled_at_three)
+    monkeypatch.setattr(dims, "q_scalars", doubled_at_three)
     with pytest.raises(RuntimeError, match="square of dim Z"):
         verify_series("exceptional")
 

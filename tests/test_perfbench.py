@@ -74,13 +74,15 @@ def test_scan_matches_recorded_reference(entry, capsys):
 def test_every_library_definition_is_reached_from_library_code():
     # a top-level def or class, or a method other than a dunder, that only
     # tests reach belongs in tests/oracles.py or tests/helpers.py; the names
-    # the benchmark traces stay, westbury_dims is to fill classify
-    # --membership's westbury key, and SquareMatrix.inverse is kept for the
-    # intertwiners of ROADMAP item 3.  The check goes by name: a definition
-    # counts as reached when library code outside it reads a name or an
-    # attribute spelled like it, on whatever object.
+    # the benchmark traces stay, q_from_spec stays because the benchmark's
+    # intertwiner workload calls it (classify.q_scalars is what library code
+    # calls), westbury_dims is to fill classify --membership's westbury key,
+    # and SquareMatrix.inverse is kept for the intertwiners of ROADMAP item 3.
+    # The check goes by name: a definition counts as reached when library
+    # code outside it reads a name or an attribute spelled like it, on
+    # whatever object.
     traced = [attr for _, attr, _ in load_tracing().TRACED]
-    allowed = set(traced) | {"westbury_dims", "SquareMatrix.inverse"}
+    allowed = set(traced) | {"q_from_spec", "westbury_dims", "SquareMatrix.inverse"}
     trees = [ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "braidrep").glob("*.py"))]
 
