@@ -6,14 +6,14 @@ lives in the Q scalars: for each index pair r != s, the triple product
 P_r(A) P_s(B) P_r(A) is a scalar multiple Q_rs of the rank-one matrix P_r(A),
 and the pair is simple iff every Q_rs is nonzero.  This module evaluates the
 closed forms of Q_rs and of the central scalar from a classified RepSpec:
-q_scalars is the one evaluation of the Q closed forms, forming each factor
-that several pairs share once per call, q_from_spec is its per-pair
-wrapper, and delta_from_spec gives the central scalar; both read the root
-parameter through one bridge, _root_square.  The module also recomputes
-Q_rs from the defining matrix identity as an independent route, and
-cross-checks the verdict against a generated-algebra span oracle that
-knows nothing about the closed forms (Norton's irreducibility test, with
-the span of words as its fallback).
+q_scalars is the one evaluation of the Q closed forms, forming its whole
+factor table once per call, q_from_spec is its per-pair wrapper, and
+delta_from_spec gives the central scalar; both read the root parameter
+through one bridge, _root_square.  The module also recomputes Q_rs from
+the defining matrix identity as an independent route, and cross-checks
+the verdict against a generated-algebra span oracle that knows nothing
+about the closed forms (Norton's irreducibility test at the eigenvalues
+of the pair's spec, with the span of words as its fallback).
 
 Every check is exact; nothing here tolerates approximation.
 """
@@ -53,30 +53,15 @@ def _root_square(spec):
     return spec.root_param ** 2
 
 
-class _Once(dict):
-    """A table whose value at a key is make(key), formed on first lookup."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def q_scalars(spec, pairs):
     """Closed forms of the Q scalars of a classified spec: {(r, s): Q_rs}.
 
     The one evaluation of the closed forms; q_from_spec is its per-pair
     wrapper.  pairs is a list of ordered index pairs r != s in 1..d, and
-    the result keeps its order.  Within one call each subexpression that
-    pairs share is formed once: the root square (_root_square), the leading
-    factor (-(g^2)^-1 in dimension 4, g^-8 in dimension 5), and each entry
-    of the factor table, the latter only when a requested pair needs it.
-    Q_rs is a product of table entries:
+    the result keeps its order.  Each call forms the root square
+    (_root_square), the leading factor (-(g^2)^-1 in dimension 4, g^-8 in
+    dimension 5) and the whole factor table once, and Q_rs is a product of
+    table entries:
 
       d = 2: Q_rs = -l_r^2 + l_r*l_s - l_s^2, no table;
       d = 3: Q_rs = F_r F_s, with F_i = l_i^2 + l_j*l_k;
@@ -93,52 +78,46 @@ def q_scalars(spec, pairs):
         raise RepSpecError("Q scalars apply to the classified family")
     d = spec.dim
     for r, s in pairs:
-        if r == s:
-            raise ValueError("Q is defined for distinct indices only")
-        if not (1 <= r <= d and 1 <= s <= d):
-            raise ValueError("indices out of range")
+        if r == s or not (1 <= r <= d and 1 <= s <= d):
+            raise ValueError("indices must be distinct and within 1..%d" % d)
     lam = dict(enumerate(spec.eigenvalues, start=1))
     if d == 2:
         return {
             (r, s): -(lam[r] ** 2) + lam[r] * lam[s] - lam[s] ** 2 for r, s in pairs
         }
     if d == 3:
-        def factor(i):
-            j, k = sorted({1, 2, 3} - {i})
-            return lam[i] ** 2 + lam[j] * lam[k]
-
-        factors = _Once(factor)
+        factors = {
+            i: lam[i] ** 2 + lam[j] * lam[k] for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2))
+        }
         return {(r, s): factors[r] * factors[s] for r, s in pairs}
     g2 = _root_square(spec)
     if d == 4:
         lead = -(g2.inv())
-        squares = _Once(lambda i: lam[i] ** 2 + g2)
-
-        def pairing(j):
-            # the pairing {1, j | a, b} of 1..4, named by the partner of 1
-            a, b = sorted({2, 3, 4} - {j})
-            return g2 + lam[1] * lam[j] + lam[a] * lam[b]
-
-        pairings = _Once(pairing)
+        squares = {i: lam[i] ** 2 + g2 for i in lam}
+        # pairing[i, k] is the pairing {i, k | j, l} of 1..4
+        pairing = {}
+        for a, b, c, e in ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3)):
+            pairing[a, b] = pairing[b, a] = pairing[c, e] = pairing[e, c] = (
+                g2 + lam[a] * lam[b] + lam[c] * lam[e]
+            )
         out = {}
         for r, s in pairs:
-            k, l = sorted({1, 2, 3, 4} - {r, s})
-            # the pairings {r, k | s, l} and {r, l | s, k}, each named by
-            # the other index of its block that holds 1
-            first = r + k - 1 if 1 in (r, k) else s + l - 1
-            second = r + l - 1 if 1 in (r, l) else s + k - 1
-            out[r, s] = lead * squares[r] * squares[s] * pairings[first] * pairings[second]
+            k, l = (i for i in lam if i not in (r, s))
+            # every pairing but {r, s | k, l}
+            out[r, s] = lead * squares[r] * squares[s] * pairing[r, k] * pairing[r, l]
         return out
     g = spec.root_param
     lead = g ** -8
-    squares = _Once(lambda i: g2 + lam[i] * g + lam[i] ** 2)
-    links = _Once(lambda ik: g2 + lam[ik[0]] * lam[ik[1]])
+    squares = {i: g2 + lam[i] * g + lam[i] ** 2 for i in lam}
+    links = {}
+    for i, k in combinations(lam, 2):
+        links[i, k] = links[k, i] = g2 + lam[i] * lam[k]
     out = {}
     for r, s in pairs:
         q = lead * squares[r] * squares[s]
-        for k in range(1, 6):
+        for k in lam:
             if k not in (r, s):
-                q = q * links[min(r, k), max(r, k)] * links[min(s, k), max(s, k)]
+                q = q * links[r, k] * links[s, k]
         out[r, s] = q
     return out
 
@@ -328,8 +307,8 @@ def burnside_oracle(rep):
     is injective on U, its kernel on V/U is a line, and the annihilator of
     U, a proper submodule of the dual, holds the kernel vector of theta^T.
     The nullity stays 1 over every extension field, so irreducible here
-    means absolutely irreducible.  When no diagonal entry of A gives
-    nullity 1, the span of words (word_span_oracle) decides instead.
+    means absolutely irreducible.  When no eigenvalue of the pair's spec
+    gives nullity 1, the span of words (word_span_oracle) decides instead.
     Specialized backends only.
     """
     if isinstance(rep.field, SymbolicField):
@@ -343,22 +322,22 @@ def burnside_oracle(rep):
 def norton_orbits(rep):
     """The orbits Norton's test spins, or None when it cannot decide.
 
-    theta = A - lambda*I is tried for lambda over the distinct diagonal
-    entries of A, in order; a nonsingular theta has nullity 0 and is
-    skipped.  At the first theta of nullity exactly 1, the kernel vector of
-    theta is spun under (A, B), then the kernel vector of theta^T under
-    (A^T, B^T), stopping after the first orbit below full rank.  Returns
-    the RowSpaces spun, in that order.  A proper orbit of the first vector
-    is a submodule; one of the second is closed under right multiplication
-    by A and B, so its annihilator is a submodule.
+    theta = A - lambda*I is tried for lambda over the distinct eigenvalues
+    of the pair's spec, in order, whatever basis A is written in; a
+    nonsingular theta has nullity 0 and is skipped.  At the first theta of
+    nullity exactly 1, the kernel vector of theta is spun under (A, B),
+    then the kernel vector of theta^T under (A^T, B^T), stopping after the
+    first orbit below full rank.  Returns the RowSpaces spun, in that
+    order.  A proper orbit of the first vector is a submodule; one of the
+    second is closed under right multiplication by A and B, so its
+    annihilator is a submodule.
     """
     field, d = rep.field, rep.dim
     a_rows, b_rows = rep.A.rows, rep.B.rows
-    seen = []
-    for lam in (row[i] for i, row in enumerate(a_rows)):
-        if lam in seen:
+    eigs = rep.spec.eigenvalues
+    for n, lam in enumerate(eigs):
+        if lam in eigs[:n]:
             continue
-        seen.append(lam)
         theta = [
             [x - lam if j == i else x for j, x in enumerate(row)]
             for i, row in enumerate(a_rows)

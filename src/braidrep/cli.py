@@ -220,8 +220,6 @@ def cmd_qpoly(args):
     if (args.r is None) != (args.s is None):
         raise CLIError("give both --r and --s or neither")
     if args.r is not None:
-        if not (1 <= args.r <= d and 1 <= args.s <= d) or args.r == args.s:
-            raise CLIError("indices must be distinct and within 1..%d" % d)
         pairs = [(args.r, args.s)]
     else:
         pairs = [(r, s) for r in range(1, d + 1) for s in range(r + 1, d + 1)]

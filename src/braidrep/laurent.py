@@ -153,10 +153,6 @@ class LaurentPolynomial:
                 out = sparse_mul(a, b)
         return self._formed(out, a, b)
 
-    def scale(self, value):
-        value = Fraction(value)
-        return LaurentPolynomial(self.context, {m: c * value for m, c in self.terms.items()})
-
     def divide_by_term(self, coeff, mono):
         """self / (coeff * x^mono) in one pass over the terms: exact int //
         when coeff is an int dividing every coefficient, else Fractions."""
@@ -399,7 +395,7 @@ def _parse_poly_tokens(context, tokens):
         if not first and not saw_sign:
             raise ParseError("expected '+' or '-' between terms")
         term, i = _parse_term(context, tokens, i)
-        total = total + (term.scale(-1) if sign < 0 else term)
+        total = total + (-term if sign < 0 else term)
         first = False
     return total
 

@@ -192,12 +192,6 @@ class UniPoly:
         self.field = field
         self.coeffs = tuple(coeffs)
 
-    @property
-    def degree(self):
-        if len(self.coeffs) == 1 and self.coeffs[0].is_zero():
-            return -1
-        return len(self.coeffs) - 1
-
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented

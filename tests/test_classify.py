@@ -168,7 +168,7 @@ def test_p_poly_is_monic_of_degree_dim_minus_one():
     vals = [Q.const(2), Q.const(3), Q.const(5), Q.const(7)]
     for r in (1, 2, 3, 4):
         poly = p_poly(r, vals)
-        assert poly.degree == 3
+        assert len(poly.coeffs) - 1 == 3
         assert poly.coeffs[-1] == Q.one
         # evaluates to zero at every eigenvalue except the kept one
         for i, lam in enumerate(vals, start=1):
@@ -518,6 +518,37 @@ def test_norton_agrees_with_the_word_queue_on_every_sampled_instance():
         rep = build_rep(spec)
         assert classify.norton_orbits(rep) is not None
         assert burnside_oracle(rep) == word_span_oracle(rep), spec.eigenvalues
+
+
+def unimodular(field, d, rng):
+    """A seeded integer matrix of determinant 1: a product of elementary
+    matrices I + c*E_ij with i != j."""
+    m = SquareMatrix.identity(field, d)
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        rows = [list(row) for row in SquareMatrix.identity(field, d).rows]
+        rows[i][j] = field.const(rng.choice([-2, -1, 1, 2]))
+        m = m * SquareMatrix(field, rows)
+    return m
+
+
+def test_norton_decides_pairs_that_build_rep_did_not_build():
+    # conjugating by P moves A off the triangular basis but keeps its
+    # eigenvalues, so theta still has nullity 1 at the spec's eigenvalues;
+    # one draw each over Q(zeta_3), where the word span is slow
+    for field, draws in ((Q, 4), (cyclotomic_field(3), 1)):
+        rng = random.Random(2201)
+        for d in (3, 4, 5):
+            for sampler in (random_classified_spec, degenerate_classified_spec):
+                for _ in range(draws):
+                    spec = sampler(d, rng, field=field)
+                    built = build_rep(spec)
+                    p = unimodular(field, d, rng)
+                    p_inv = p.inverse()
+                    rep = Rep(spec, p * built.A * p_inv, p * built.B * p_inv)
+                    assert classify.norton_orbits(rep) is not None
+                    verdict = is_simple(spec).simple
+                    assert burnside_oracle(rep) == word_span_oracle(rep) == verdict
 
 
 def recorded(monkeypatch, name, calls):

@@ -21,6 +21,14 @@ import pytest
 from braidrep import cli
 from braidrep.cli import main
 
+# `python -m braidrep` subprocesses import the braidrep these tests import,
+# whether it is installed or found through pytest's pythonpath
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
+
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
@@ -68,7 +76,7 @@ def test_construct_rejects_decimal_input(capsys):
 def test_zero_denominator_is_an_input_error(argv):
     result = subprocess.run(
         [sys.executable, "-m", "braidrep", "classify", "--dim", "2", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SUBPROCESS_ENV,
     )
     assert result.returncode == 1
     assert "error:" in result.stderr
@@ -102,7 +110,7 @@ QUINTIC = ["--modulus", "z^5+z^3+2*z^2+2", "--eig", "z^2+1", "--eig", "1"]
 def test_reducible_higher_degree_modulus_is_an_input_error(argv):
     result = subprocess.run(
         [sys.executable, "-m", "braidrep", "classify", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SUBPROCESS_ENV,
     )
     assert result.returncode == 1
     assert "error:" in result.stderr
@@ -289,7 +297,8 @@ PAIR_A_B = {
         "modulus-number", "dim-string", "dim-bool", "dim-list", "dim-float", "no-family", "no-dim", "no-eigenvalues", "no-A", "no-B"])
 def test_verify_refuses_json_of_the_wrong_shape(text, named):
     result = subprocess.run(
-        [sys.executable, "-m", "braidrep", "verify"], input=text, capture_output=True, text=True,
+        [sys.executable, "-m", "braidrep", "verify"], input=text,
+        capture_output=True, text=True, env=SUBPROCESS_ENV,
     )
     assert result.returncode == 1
     assert result.stdout == ""
@@ -470,6 +479,14 @@ def test_qpoly_rejects_equal_indices(capsys):
     assert "distinct" in err
 
 
+@pytest.mark.parametrize("r, s", [("1", "3"), ("2", "2")])
+def test_qpoly_refuses_bad_indices_with_one_message(capsys, r, s):
+    code, out, err = run_cli(capsys, [
+        "qpoly", "--dim", "2", "--eig", "2", "--eig", "3", "--r", r, "--s", s,
+    ])
+    assert (code, out, err) == (1, "", "error: indices must be distinct and within 1..2\n")
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -533,7 +550,7 @@ def test_scan_refuses_a_bound_below_one(bound):
     result = subprocess.run(
         [sys.executable, "-m", "braidrep", "scan", "--dim", "3", "--count", "2",
          "--bound", bound],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SUBPROCESS_ENV,
     )
     assert result.returncode == 1
     assert result.stdout == ""
@@ -544,7 +561,7 @@ def test_scan_refuses_a_bound_below_one(bound):
 def test_scan_into_closed_pipe_stops_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "braidrep", "scan", "--dim", "3", "--count", "3000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=SUBPROCESS_ENV,
     )
     assert proc.stdout.readline().startswith("index,")
     proc.stdout.close()
@@ -623,7 +640,7 @@ def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "braidrep", "construct", "--dim", "2",
          "--eig", "1", "--eig", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SUBPROCESS_ENV,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dim"] == 2

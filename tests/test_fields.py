@@ -766,10 +766,11 @@ def test_pair_normalization_matches_the_scale_shift_formula(num, den):
 
 def test_pair_normalization_matches_on_random_pairs():
     field = SymbolicField(VarContext(("x", "y")))
+    ctx = field.context
     rng = random.Random(1414)
     for _ in range(300):
-        n = random_rf(field, rng).value[0].scale(rng.choice([1, 6, -10]))
-        d = random_rf(field, rng).value[0].scale(rng.choice([2, -3, 4]))
+        n = random_rf(field, rng).value[0] * LaurentPolynomial.const(ctx, rng.choice([1, 6, -10]))
+        d = random_rf(field, rng).value[0] * LaurentPolynomial.const(ctx, rng.choice([2, -3, 4]))
         if n.is_zero() or d.is_zero():
             continue
         got = field._pair(n, d).value
@@ -791,8 +792,8 @@ def random_reduced_pair(field, rng):
 
     num = LaurentPolynomial(ctx, {}) if rng.randrange(8) == 0 else drawn(rng.randint(1, 4))
     den = drawn(1 if rng.randrange(4) == 0 else rng.randint(2, 4))
-    scale = rng.choice([1, -1, 6, Fraction(-2, 3)])
-    return field._pair(num.scale(scale), den.scale(scale)).value
+    scale = LaurentPolynomial.const(ctx, rng.choice([1, -1, 6, Fraction(-2, 3)]))
+    return field._pair(num * scale, den * scale).value
 
 
 @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])

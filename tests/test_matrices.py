@@ -127,7 +127,7 @@ def test_cayley_hamilton_dims_2_to_5():
         for _ in range(3):
             m = random_rational_matrix(q, rng, n)
             p = char_poly(m)
-            assert p.degree == n
+            assert len(p.coeffs) - 1 == n
             assert p.coeffs[-1] == q.one
             assert p.eval_matrix(m).is_zero()
 
@@ -157,7 +157,7 @@ def test_min_poly_divides_char_poly():
 def test_min_poly_detects_scalar_and_projection():
     q = RationalField()
     ident = SquareMatrix.identity(q, 4)
-    assert min_poly(ident).degree == 1
+    assert len(min_poly(ident).coeffs) - 1 == 1
     proj = SquareMatrix(
         q,
         [
