@@ -128,7 +128,7 @@ def cmd_construct(args):
         if not args.eig:
             raise CLIError("need --eig parameter values")
         _, params = _eigenvalues_from_args(args)
-        rep = build_binomial_rep(len(params), params)
+        rep = build_binomial_rep(params)
     else:
         rep = build_rep(_spec_from_args(args))
     data = rep_to_json_dict(rep)

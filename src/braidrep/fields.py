@@ -22,13 +22,13 @@ poly_divmod; cyclotomic_field and braidrep.factored both read it.
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
-import re
 
 from .laurent import (
     BackendMismatch,
     LaurentPolynomial,
     ParseError,
     VarContext,
+    _NAME_RE,
     _parse_rf_string,
     parse_polynomial,
 )
@@ -422,7 +422,7 @@ class NumberField(Field):
 
     @classmethod
     def from_modulus_string(cls, text):
-        names = sorted({m.group(0) for m in re.finditer(r"[A-Za-z_][A-Za-z_0-9]*", text)})
+        names = sorted(set(_NAME_RE.findall(text)))
         if len(names) != 1:
             raise ParseError("modulus must use exactly one variable")
         p = parse_polynomial(VarContext((names[0],)), text)

@@ -15,6 +15,12 @@ term-pair loop.  Products
 and sums of int coefficients stay ints and a negation keeps each coefficient's
 type, so these and exact divisions by a term go through one trusted
 constructor that skips the normalizing pass.
+
+The reader takes the longest run of tokens from a string's start in one
+regex match, and only blanks may follow; a term's sign is the parity of the
+'-' signs before it.  _NAME_RE is the one pattern of a name: the token
+pattern is built from it, and VarContext (the validated tuple of a
+context's names) and NumberField.from_modulus_string match with it.
 """
 
 from fractions import Fraction
@@ -36,37 +42,26 @@ class ParseError(ValueError):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-class VarContext:
-    """Ordered, immutable set of distinct variable names."""
+class VarContext(tuple):
+    """Ordered, immutable set of distinct variable names, kept as their tuple."""
 
-    __slots__ = ("names",)
+    __slots__ = ()
 
-    def __init__(self, names):
+    def __new__(cls, names):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
         for n in names:
             if not _NAME_RE.fullmatch(n):
                 raise ValueError("bad variable name: %r" % (n,))
-        object.__setattr__(self, "names", names)
+        return super().__new__(cls, names)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VarContext is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, VarContext) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
+    @property
+    def names(self):
+        return tuple(self)
 
     def __repr__(self):
         return "VarContext(names=%r)" % (self.names,)
-
-    def index(self, name):
-        return self.names.index(name)
-
-    def __len__(self):
-        return len(self.names)
 
 
 class LaurentPolynomial:
@@ -203,7 +198,7 @@ class LaurentPolynomial:
         # formatted once ("" for e = 0)
         powers = [{e: "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}"
                    for e in set(column)}
-                  for name, column in zip(self.context.names, zip(*self.terms))]
+                  for name, column in zip(self.context, zip(*self.terms))]
         out = []
         for mono, coeff in self.sorted_terms():
             factors = "".join(map(getitem, powers, mono))
@@ -329,21 +324,16 @@ def _pack(ints, width, cells):
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"\s*(\(|\)|\+|-|\*|\^|/|\d+|[A-Za-z_][A-Za-z0-9_]*)")
+_TOKEN_RE = re.compile(r"\s*([()+\-*^/]|\d+|%s)" % _NAME_RE.pattern)
+_TOKENS_RE = re.compile("(?:%s)*" % _TOKEN_RE.pattern)
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError("bad character at %r" % text[pos:])
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+    """The tokens of text; past the longest run of tokens only blanks may follow."""
+    end = _TOKENS_RE.match(text).end()
+    if text[end:].strip():
+        raise ParseError("bad character at %r" % text[end:])
+    return _TOKEN_RE.findall(text, 0, end)
 
 
 def _parse_rf_string(context, text):
@@ -351,18 +341,14 @@ def _parse_rf_string(context, text):
     tokens = _tokenize(text)
     if tokens and tokens[0] == "(":
         depth = 0
-        for i, tok in enumerate(tokens):
-            if tok == "(":
-                depth += 1
-            elif tok == ")":
-                depth -= 1
-                if depth == 0:
-                    close = i
-                    break
+        for close, tok in enumerate(tokens):
+            depth += (tok == "(") - (tok == ")")
+            if not depth:
+                break
         else:
             raise ParseError("unbalanced parentheses")
         rest = tokens[close + 1 :]
-        if len(rest) >= 2 and rest[0] == "/" and rest[1] == "(":
+        if rest[:2] == ["/", "("]:
             if rest[-1] != ")":
                 raise ParseError("unbalanced parentheses in denominator")
             num = _parse_poly_tokens(context, tokens[1:close])
@@ -379,75 +365,60 @@ def parse_polynomial(context, text):
 
 
 def _parse_poly_tokens(context, tokens):
+    """Sum of the terms, each signed by the parity of the '-' run before it."""
     if not tokens:
         raise ParseError("empty polynomial")
     total = LaurentPolynomial.const(context, 0)
     i = 0
-    first = True
     while i < len(tokens):
-        sign = 1
-        saw_sign = False
+        start = i
         while i < len(tokens) and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
-            saw_sign = True
             i += 1
-        if not first and not saw_sign:
+        if i == start > 0:
             raise ParseError("expected '+' or '-' between terms")
-        term, i = _parse_term(context, tokens, i)
-        total = total + (-term if sign < 0 else term)
-        first = False
+        term, end = _parse_term(context, tokens, i)
+        total = total + (-term if tokens[start:i].count("-") % 2 else term)
+        i = end
     return total
 
 
 def _parse_term(context, tokens, i):
+    """(the term at tokens[i:], the index after it): factors joined by '*'."""
     if i >= len(tokens):
         raise ParseError("expected a term")
     coeff = Fraction(1)
     factors = []
-    expect_factor = True
-    while i < len(tokens):
+    while True:
         tok = tokens[i]
-        if expect_factor:
-            if tok.isdigit():
-                value = Fraction(int(tok))
+        i += 1
+        if tok.isdigit():
+            den = 1
+            if i + 1 < len(tokens) and tokens[i] == "/" and tokens[i + 1].isdigit():
+                den = int(tokens[i + 1])
+                if den == 0:
+                    raise ParseError("zero denominator")
+                i += 2
+            coeff *= Fraction(int(tok), den)
+        elif _NAME_RE.fullmatch(tok):
+            power = 1
+            if tokens[i:i + 1] == ["^"]:
+                # past the '^' and an optional '-'
+                i += 1 + (tokens[i + 1:i + 2] == ["-"])
+                if i >= len(tokens) or not tokens[i].isdigit():
+                    raise ParseError("expected an integer exponent")
+                power = int(tokens[i]) if tokens[i - 1] == "^" else -int(tokens[i])
                 i += 1
-                if i + 1 < len(tokens) and tokens[i] == "/" and tokens[i + 1].isdigit():
-                    den = int(tokens[i + 1])
-                    if den == 0:
-                        raise ParseError("zero denominator")
-                    value = Fraction(value.numerator, den)
-                    i += 2
-                coeff *= value
-            elif _NAME_RE.fullmatch(tok):
-                name = tok
-                power = 1
-                i += 1
-                if i < len(tokens) and tokens[i] == "^":
-                    i += 1
-                    psign = 1
-                    if i < len(tokens) and tokens[i] == "-":
-                        psign = -1
-                        i += 1
-                    if i >= len(tokens) or not tokens[i].isdigit():
-                        raise ParseError("expected an integer exponent")
-                    power = psign * int(tokens[i])
-                    i += 1
-                factors.append((name, power))
-            else:
-                raise ParseError("unexpected token %r" % tok)
-            expect_factor = False
-        elif tok == "*":
-            expect_factor = True
-            i += 1
+            factors.append((tok, power))
         else:
+            raise ParseError("unexpected token %r" % tok)
+        if tokens[i:i + 1] != ["*"]:
             break
-    if expect_factor:
-        raise ParseError("dangling '*'")
+        i += 1
+        if i == len(tokens):
+            raise ParseError("dangling '*'")
     mono = [0] * len(context)
     for name, power in factors:
-        try:
-            mono[context.index(name)] += power
-        except ValueError:
-            raise ParseError("unknown variable %r" % name) from None
+        if name not in context:
+            raise ParseError("unknown variable %r" % name)
+        mono[context.index(name)] += power
     return LaurentPolynomial(context, {tuple(mono): coeff}), i

@@ -24,7 +24,7 @@ from .fields import (
     SymbolicField,
     VarContext,
 )
-from .matrices import SquareMatrix
+from .matrices import MAX_DIM, MIN_DIM, SquareMatrix
 
 CLASSIFIED = "classified"
 BINOMIAL = "binomial"
@@ -50,7 +50,6 @@ class RepSpec:
         eigenvalues = tuple(eigenvalues)
         if not eigenvalues:
             raise RepSpecError("no eigenvalues given")
-        field = eigenvalues[0].field
         for lam in eigenvalues:
             if not isinstance(lam, Scalar):
                 raise RepSpecError("eigenvalues must be Scalars")
@@ -67,6 +66,8 @@ class RepSpec:
             else:
                 if root_param is None:
                     raise RepSpecError(f"dim {d} needs a root parameter")
+                if not isinstance(root_param, Scalar):
+                    raise RepSpecError("root parameter must be a Scalar")
                 if root_param.is_zero():
                     raise RepSpecError("zero root parameter")
                 if d == 4:
@@ -77,8 +78,8 @@ class RepSpec:
                     if root_param ** 5 != det:
                         raise RepSpecError("root parameter to the 5th must equal the eigenvalue product")
         elif family == BINOMIAL:
-            if not 2 <= d <= 8:
-                raise RepSpecError(f"binomial family supports sizes 2..8, got {d}")
+            if not MIN_DIM <= d <= MAX_DIM:
+                raise RepSpecError(f"binomial family supports sizes {MIN_DIM}..{MAX_DIM}, got {d}")
             if root_param is not None:
                 raise RepSpecError("binomial family takes no root parameter")
             c = eigenvalues[0] * eigenvalues[-1]
@@ -92,7 +93,7 @@ class RepSpec:
         det.inv()
         self.family = family
         self.dim = d
-        self.field = field
+        self.field = eigenvalues[0].field
         self.eigenvalues = eigenvalues
         self.root_param = root_param
         self.det = det
@@ -221,18 +222,15 @@ def build_rep(spec):
     return Rep(spec, a, b)
 
 
-def build_binomial_rep(size, params):
-    """Binomial-coefficient family on `size` basis vectors.
+def build_binomial_rep(params):
+    """Binomial-coefficient family on size = len(params) basis vectors.
 
     params is lambda_0..lambda_{size-1} with lambda_i*lambda_{bar i} constant
     (RepSpec checks it), bar i = size-1-i.  A_ij = C(bar i, bar j) lambda_j, B_ij =
     (-1)^(i+j) C(i, j) lambda_{bar i} with 0-based indices.
     """
-    params = tuple(params)
-    if len(params) != size:
-        raise RepSpecError("need exactly one parameter per basis vector")
     spec = RepSpec(BINOMIAL, params)
-    field = spec.field
+    params, field, size = spec.eigenvalues, spec.field, spec.dim
     n = size - 1
 
     def a_entry(i, j):

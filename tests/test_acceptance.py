@@ -237,7 +237,7 @@ def test_criterion_09_binomial_family_and_convolution_identity():
     rng = random.Random(900)
     for size in range(3, 9):
         params, _ = random_binomial_params(size, rng)
-        assert verify_braid(build_binomial_rep(size, params)), size
+        assert verify_braid(build_binomial_rep(params)), size
     for d in range(13):
         assert binomial_identity_check(d), d
     assert time.monotonic() - start < 60

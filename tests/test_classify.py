@@ -710,7 +710,7 @@ def test_sl2z_flags_form_no_matrix_product(monkeypatch):
 
 
 def test_delta_from_spec_rejects_binomial_spec():
-    rep = build_binomial_rep(3, [Q.one, Q.const(2), Q.const(4)])
+    rep = build_binomial_rep([Q.one, Q.const(2), Q.const(4)])
     with pytest.raises(RepSpecError):
         delta_from_spec(rep.spec)
 

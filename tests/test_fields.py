@@ -352,6 +352,104 @@ def test_numberfield_zero_in_field_denominator_is_a_parse_error():
         k.parse("(z)/(z^2+1)")
 
 
+READER_FIELDS = {
+    "Q": RationalField(),
+    "Q(x,y)": SymbolicField(VarContext(("x", "y"))),
+    "Q(zeta3)": cyclotomic_field(3),
+}
+ALL_READER_FIELDS = tuple(READER_FIELDS)
+
+# every ParseError text of the reader, each with an input that raises it over
+# the fields listed; where a string breaks two rules, the one met first wins
+READER_REFUSALS = [
+    (ALL_READER_FIELDS, "1 +  $2", "bad character at '  $2'"),
+    (ALL_READER_FIELDS, "   ", "empty polynomial"),
+    (ALL_READER_FIELDS, "(1+2", "unbalanced parentheses"),
+    (ALL_READER_FIELDS, "(1)/(2", "unbalanced parentheses in denominator"),
+    (ALL_READER_FIELDS, "3/0", "zero denominator"),
+    (ALL_READER_FIELDS, "(1)/(2-2)", "zero denominator"),
+    (ALL_READER_FIELDS, "3 4", "expected '+' or '-' between terms"),
+    (ALL_READER_FIELDS, "(1)/(2)+(3)", "expected '+' or '-' between terms"),
+    (ALL_READER_FIELDS, "1+", "expected a term"),
+    (ALL_READER_FIELDS, "(2)", "unexpected token '('"),
+    (ALL_READER_FIELDS, "2*)", "unexpected token ')'"),
+    # names are looked up only after the whole term is read
+    (ALL_READER_FIELDS, "x^-y", "expected an integer exponent"),
+    (ALL_READER_FIELDS, "2*", "dangling '*'"),
+    (ALL_READER_FIELDS, "2*q^2", "unknown variable 'q'"),
+    (("Q(zeta3)",), "z^-1", "negative powers of the generator are not supported"),
+    (("Q(zeta3)",), "(1)/(z^2+z+1)", "denominator is zero modulo z^2+z+1"),
+]
+
+
+@pytest.mark.parametrize("field, text, message", [
+    (name, text, message) for names, text, message in READER_REFUSALS for name in names
+])
+def test_reader_refusal_texts(field, text, message):
+    with pytest.raises(ParseError) as err:
+        READER_FIELDS[field].parse(text)
+    assert str(err.value) == message
+
+
+def _typed(value):
+    """A parsed value with the type of each coefficient beside it."""
+    if isinstance(value, LaurentPolynomial):
+        return {m: (type(c), c) for m, c in value.terms.items()}
+    if isinstance(value, tuple):
+        return tuple(map(_typed, value))
+    return type(value), value
+
+
+ONE_XY = {(0, 0): (int, 1)}
+
+# strings the reader accepts that a stricter grammar might not, with the
+# value each field reads and its coefficient types
+READER_QUIRKS = [
+    # a run of signs before a term; the parity of its '-' signs decides
+    ("Q", "--2", (Fraction, 2)),
+    ("Q(x,y)", "--2", ({(0, 0): (int, 2)}, ONE_XY)),
+    ("Q(zeta3)", "--2", ((Fraction, 2), (Fraction, 0))),
+    ("Q", "+-+3", (Fraction, -3)),
+    ("Q(x,y)", "+-+3", ({(0, 0): (int, -3)}, ONE_XY)),
+    ("Q(zeta3)", "+-+3", ((Fraction, -3), (Fraction, 0))),
+    ("Q(x,y)", "3/5*x^-2", ({(-2, 0): (Fraction, Fraction(3, 5))}, ONE_XY)),
+    # a digit is any Unicode decimal digit
+    ("Q", "٣", (Fraction, 3)),
+    ("Q(x,y)", "٣", ({(0, 0): (int, 3)}, ONE_XY)),
+    ("Q(zeta3)", "٣", ((Fraction, 3), (Fraction, 0))),
+    ("Q", "(2)/(4)", (Fraction, Fraction(1, 2))),
+    ("Q(x,y)", "(2*x)/(4)", ({(1, 0): (Fraction, Fraction(1, 2))}, ONE_XY)),
+    ("Q(zeta3)", "(2*z)/(4)", ((Fraction, 0), (Fraction, Fraction(1, 2)))),
+    # blanks before any token, and trailing ones
+    ("Q", "2*3\t ", (Fraction, 6)),
+    ("Q(x,y)", "\t-x + 1  \t", ({(1, 0): (int, -1), (0, 0): (int, 1)}, ONE_XY)),
+]
+
+
+@pytest.mark.parametrize("field, text, typed", READER_QUIRKS)
+def test_reader_quirks_keep_their_values_and_types(field, text, typed):
+    assert _typed(READER_FIELDS[field].parse(text).value) == typed
+
+
+def test_var_context_is_an_immutable_validated_name_tuple():
+    ctx = VarContext(("x", "y"))
+    assert ctx == VarContext(["x", "y"]) and hash(ctx) == hash(VarContext(["x", "y"]))
+    assert ctx != VarContext(("y", "x"))
+    assert ctx.index("y") == 1 and len(ctx) == 2
+    assert ctx.names == ("x", "y") and repr(ctx) == "VarContext(names=('x', 'y'))"
+    with pytest.raises(ValueError) as err:
+        VarContext(("x", "x"))
+    assert str(err.value) == "variable names must be distinct"
+    for bad in ("1x", "x-y", "", "é"):
+        with pytest.raises(ValueError) as err:
+            VarContext(("x", bad))
+        assert str(err.value) == "bad variable name: %r" % bad
+    with pytest.raises(AttributeError):
+        ctx.names = ("z",)
+    with pytest.raises(AttributeError):
+        ctx.extra = 1
+
+
 def test_specialize_is_ring_homomorphism():
     ctx = VarContext(("l1", "l2", "g"))
     f = SymbolicField(ctx)

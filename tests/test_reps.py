@@ -145,6 +145,8 @@ def test_spec_validation_errors():
         RepSpec(CLASSIFIED, [q.one, q.one], root_param=q.one)
     with pytest.raises(RepSpecError):
         RepSpec(BINOMIAL, [q.one, q.const(2), q.one])  # 1*1 != 2*2
+    with pytest.raises(RepSpecError, match=r"^binomial family supports sizes 2\.\.8, got 9$"):
+        RepSpec(BINOMIAL, [q.one] * 9)
     with pytest.raises(RepSpecError):
         RepSpec("other", [q.one, q.one])
     # dim-4 root constraint satisfied -> accepted
@@ -152,10 +154,26 @@ def test_spec_validation_errors():
     assert spec.dim == 4
 
 
+Q = RationalField()
+
+
+@pytest.mark.parametrize("eigenvalues, root, message", [
+    ([1, Q.one], None, "eigenvalues must be Scalars"),
+    # the eigenvalues are checked in order, the field read after them all
+    ([Q.zero, 1], None, "zero eigenvalue"),
+    ([Q.one] * 4, 1, "root parameter must be a Scalar"),
+    ([Q.one] * 5, 2.0, "root parameter must be a Scalar"),
+])
+def test_spec_refuses_a_parameter_that_is_not_a_scalar(eigenvalues, root, message):
+    with pytest.raises(RepSpecError) as err:
+        RepSpec(CLASSIFIED, eigenvalues, root_param=root)
+    assert str(err.value) == message
+
+
 def test_binomial_known_3x3():
     q = RationalField()
     l0, l1, l2 = q.const(4), q.const(2), q.const(1)
-    rep = build_binomial_rep(3, [l0, l1, l2])
+    rep = build_binomial_rep([l0, l1, l2])
     assert rep.A.render() == [["4", "4", "1"], ["0", "2", "1"], ["0", "0", "1"]]
     assert verify_braid(rep)
     assert verify_ordered_triangular(rep)
@@ -163,7 +181,7 @@ def test_binomial_known_3x3():
 
 def test_binomial_2x2():
     q = RationalField()
-    rep = build_binomial_rep(2, [q.const(6), q.const(2)])
+    rep = build_binomial_rep([q.const(6), q.const(2)])
     assert rep.A.render() == [["6", "2"], ["0", "2"]]
     assert verify_braid(rep)
 
@@ -172,7 +190,7 @@ def test_binomial_2x2():
 def test_binomial_sizes_braid(size):
     rng = random.Random(7000 + size)
     params, _ = random_binomial_params(size, rng, bound=5)
-    rep = build_binomial_rep(size, params)
+    rep = build_binomial_rep(params)
     assert verify_braid(rep)
     assert verify_ordered_triangular(rep)
 
@@ -238,7 +256,7 @@ def test_skew_criterion_on_binomial_family():
     rng = random.Random(11)
     for size in (3, 4, 5):
         params, c = random_binomial_params(size, rng, bound=5)
-        rep = build_binomial_rep(size, params)
+        rep = build_binomial_rep(params)
         field = rep.field
         n = size - 1
 
@@ -342,7 +360,7 @@ def test_json_round_trip_rational_and_cyclotomic():
 def test_json_round_trip_binomial():
     rng = random.Random(17)
     params, c = random_binomial_params(4, rng, bound=5)
-    rep = build_binomial_rep(4, params)
+    rep = build_binomial_rep(params)
     back = rep_from_json(json.dumps(rep_to_json_dict(rep), indent=2))
     assert back.A == rep.A and back.B == rep.B
     assert back.spec.family == BINOMIAL
