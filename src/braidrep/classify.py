@@ -243,6 +243,7 @@ class ClassificationReport:
     null, so its shape stays stable.
     """
 
+    # in the order of the JSON keys
     __slots__ = (
         "simple", "vanishing_factors", "sl2z", "psl2z",
         "burnside", "deligne_certificate",
@@ -257,18 +258,13 @@ class ClassificationReport:
         self.deligne_certificate = None
 
     def to_json_dict(self):
-        return {
-            "simple": self.simple,
-            "vanishing_factors": [
-                {"generator": label, "indices": list(indices)}
-                for label, indices in self.vanishing_factors
-            ],
-            "sl2z": self.sl2z,
-            "psl2z": self.psl2z,
-            "burnside": self.burnside,
-            "deligne_certificate": self.deligne_certificate,
-            "westbury": None,
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["vanishing_factors"] = [
+            {"generator": label, "indices": list(indices)}
+            for label, indices in self.vanishing_factors
+        ]
+        out["westbury"] = None
+        return out
 
 
 def is_simple(spec):

@@ -22,6 +22,7 @@ from .classify import burnside_oracle, deligne_check, is_simple, q_scalars, sl2z
 from .dims import verify_series
 from .fields import NumberField, RationalField, ZeroDivisorError
 from .reps import (
+    BINOMIAL,
     CLASSIFIED,
     RepSpec,
     build_binomial_rep,
@@ -96,8 +97,7 @@ def _spec_from_args(args):
             raise CLIError("--symbolic takes no eigenvalue or field flags")
         if args.dim is None:
             raise CLIError("--symbolic needs --dim")
-        _, spec = symbolic_classified_spec(args.dim)
-        return spec
+        return symbolic_classified_spec(args.dim)
     if not eig:
         raise CLIError("need --eig values (one per eigenvalue) or --symbolic")
     field, eigs = _eigenvalues_from_args(args)
@@ -120,7 +120,7 @@ def _spec_from_args(args):
 
 
 def cmd_construct(args):
-    if args.family == "binomial":
+    if args.family == BINOMIAL:
         if args.symbolic:
             raise CLIError("the binomial family has no symbolic build here")
         if args.root_d is not None or args.root_gamma is not None:
@@ -356,7 +356,7 @@ def build_parser():
     p = sub.add_parser("construct", help="build a braid pair and print it")
     _add_spec_args(p)
     p.add_argument(
-        "--family", choices=("classified", "binomial"), default="classified",
+        "--family", choices=(CLASSIFIED, BINOMIAL), default=CLASSIFIED,
         help="matrix family (default classified)",
     )
     _add_format(p)

@@ -218,9 +218,7 @@ class DimReport:
 
 
 BCD_SUMMANDS = ("alternating", "symmetric_traceless")
-EXCEPTIONAL_SUMMANDS = (
-    "adjoint", "alternating_complement", "symmetric", "symmetric_dual",
-)
+EXCEPTIONAL_SUMMANDS = tuple(name for name, _, _ in EXCEPTIONAL_CATALOG)
 
 
 def verify_series(series):

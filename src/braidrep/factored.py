@@ -194,12 +194,6 @@ class FactoredField(Field):
             return "-" + "*".join(parts)
         return "*".join([head] + parts)
 
-    def _key(self):
-        return self.context
-
-    def __repr__(self):
-        return "FactoredField(%s)" % ",".join(self.context.names)
-
 
 def split(x):
     """(the unit times the monomial of a factored x, as an element of its

@@ -22,6 +22,7 @@ poly_divmod; cyclotomic_field and braidrep.factored both read it.
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+import operator
 
 from .laurent import (
     BackendMismatch,
@@ -194,7 +195,11 @@ class Scalar:
 
 class Field:
     """What every scalar backend shares: zero and one built by its const,
-    and equality and hash read from its type and its _key()."""
+    values compared with ==, equality and hash read from its type and its
+    _key() (by default its variable context), and a repr naming that
+    context."""
+
+    _eq = staticmethod(operator.eq)
 
     @property
     def zero(self):
@@ -210,33 +215,28 @@ class Field:
     def __hash__(self):
         return hash((type(self).__name__, self._key()))
 
+    def _key(self):
+        return self.context
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ",".join(self.context))
+
 
 class RationalField(Field):
-    """Plain exact rationals."""
+    """Plain exact rationals: a value is a Fraction, and Fraction's own
+    operators are the arithmetic."""
+
+    _add = staticmethod(operator.add)
+    _neg = staticmethod(operator.neg)
+    _mul = staticmethod(operator.mul)
+    _is_zero = staticmethod(operator.not_)
+    _render = staticmethod(str)
 
     def const(self, value):
         return Scalar(self, Fraction(value))
 
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
     def _inv(self, a):
         return 1 / a
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def _eq(self, a, b):
-        return a == b
-
-    def _render(self, a):
-        return str(a)
 
     def parse(self, text):
         # over no variables every polynomial is its constant term
@@ -320,12 +320,6 @@ class SymbolicField(Field):
         num, den = _parse_rf_string(self.context, text)
         return self._pair(num, den)
 
-    def _key(self):
-        return self.context
-
-    def __repr__(self):
-        return "SymbolicField(%s)" % ",".join(self.context.names)
-
 
 class NumberField(Field):
     """Q[x]/(m(x)) for a monic modulus m, elements as coefficient tuples of
@@ -389,9 +383,6 @@ class NumberField(Field):
 
     def _is_zero(self, a):
         return all(c == 0 for c in a)
-
-    def _eq(self, a, b):
-        return a == b
 
     def _render(self, a):
         """Render an ascending coefficient sequence as a polynomial in the generator."""
@@ -498,8 +489,10 @@ def root_of_unity(field, order):
     """A primitive cube or sixth root of unity in an algebraic backend.
 
     Searches small integer combinations of generator powers (enough for every
-    field this package constructs); raises ValueError when the field has no
-    such root.  order must be 3 or 6.
+    field this package constructs), then, for a quadratic modulus
+    z^2+bz+c, reads sqrt(-3) off sqrt(D) = 2z+b, D = b^2-4c, when -3/D is a
+    rational square; raises ValueError when neither finds a root.  order
+    must be 3 or 6.
     """
     if order not in (3, 6):
         raise ValueError("only cube and sixth roots are supported")
@@ -515,4 +508,13 @@ def root_of_unity(field, order):
             # primitive root of the order iff x^2 - trace*x + 1 = 0
             if cand * cand == trace * cand - one:
                 return cand
+    if field.degree == 2:
+        c, b, _ = field.modulus
+        ratio = -3 / (b * b - 4 * c)
+        if ratio > 0:
+            r = Fraction(isqrt(ratio.numerator), isqrt(ratio.denominator))
+            if r * r == ratio:
+                # sqrt(-3) = r*(2z+b), and (trace + sqrt(-3))/2 is a root
+                # of x^2 - trace*x + 1
+                return (trace + field.element([r * b, 2 * r])) / 2
     raise ValueError("field contains no primitive root of order %d" % order)

@@ -94,10 +94,7 @@ class LaurentPolynomial:
 
     @classmethod
     def const(cls, context, value):
-        value = Fraction(value)
-        if value == 0:
-            return cls(context, {})
-        return cls(context, {(0,) * len(context): value})
+        return cls(context, {(0,) * len(context): Fraction(value)})
 
     @classmethod
     def var(cls, context, name):
@@ -339,25 +336,33 @@ def _tokenize(text):
 def _parse_rf_string(context, text):
     """Parse '(num)/(den)' or a bare polynomial; returns (num, den) polynomials."""
     tokens = _tokenize(text)
-    if tokens and tokens[0] == "(":
-        depth = 0
-        for close, tok in enumerate(tokens):
-            depth += (tok == "(") - (tok == ")")
-            if not depth:
-                break
-        else:
+    if tokens[:1] == ["("]:
+        close = _closing(tokens, 0)
+        if close is None:
             raise ParseError("unbalanced parentheses")
-        rest = tokens[close + 1 :]
-        if rest[:2] == ["/", "("]:
-            if rest[-1] != ")":
+        if tokens[close + 1:close + 3] == ["/", "("]:
+            end = _closing(tokens, close + 2)
+            if end is None:
                 raise ParseError("unbalanced parentheses in denominator")
+            if end + 1 < len(tokens):
+                raise ParseError("unexpected %r after the denominator" % tokens[end + 1])
             num = _parse_poly_tokens(context, tokens[1:close])
-            den = _parse_poly_tokens(context, rest[2:-1])
+            den = _parse_poly_tokens(context, tokens[close + 3:end])
             if den.is_zero():
                 raise ParseError("zero denominator")
             return num, den
     num = _parse_poly_tokens(context, tokens)
     return num, LaurentPolynomial.const(context, 1)
+
+
+def _closing(tokens, start):
+    """The index of the ')' matching the '(' at tokens[start], or None."""
+    depth = 0
+    for i in range(start, len(tokens)):
+        depth += (tokens[i] == "(") - (tokens[i] == ")")
+        if not depth:
+            return i
+    return None
 
 
 def parse_polynomial(context, text):

@@ -133,7 +133,6 @@ def symbolic_classified_spec(d):
 
     Free variables: d=2,3 all eigenvalues; d=4 (l1,l2,l3,D) with l4
     eliminated via the root constraint; d=5 (l1..l4,g) with l5 eliminated.
-    Returns (field, spec).
     """
     if d not in _SYMBOLIC_NAMES:
         raise RepSpecError(f"no classified family in dimension {d}")
@@ -141,8 +140,8 @@ def symbolic_classified_spec(d):
     field = SymbolicField(VarContext(names))
     values = [field.var(n) for n in names]
     if d <= 3:
-        return field, RepSpec(CLASSIFIED, values)
-    return field, solved_classified_spec(values[:-1], values[-1])
+        return RepSpec(CLASSIFIED, values)
+    return solved_classified_spec(values[:-1], values[-1])
 
 
 def solved_classified_spec(eigenvalues, root):
@@ -286,6 +285,7 @@ class StructureReport:
     is None (the sign pattern is not basis-invariant there).
     """
 
+    # in the order of the JSON keys
     __slots__ = (
         "braid_ok", "triangular_ok", "skew_diag_ok", "sigma",
         "delta", "delta_power_ok", "b_symmetry_ok", "ba_skew_ok",
@@ -303,20 +303,10 @@ class StructureReport:
         return self.sign_pattern_ok is not False
 
     def to_json_dict(self):
-        return {
-            "braid_ok": self.braid_ok,
-            "triangular_ok": self.triangular_ok,
-            "skew_diag_ok": self.skew_diag_ok,
-            "sigma": self.sigma.render(),
-            "delta": self.delta.render(),
-            "delta_power_ok": self.delta_power_ok,
-            "b_symmetry_ok": self.b_symmetry_ok,
-            "ba_skew_ok": self.ba_skew_ok,
-            "ba_zero_ok": self.ba_zero_ok,
-            "corner_ok": self.corner_ok,
-            "strict_symmetry": self.strict_symmetry,
-            "sign_pattern_ok": self.sign_pattern_ok,
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["sigma"] = self.sigma.render()
+        out["delta"] = self.delta.render()
+        return out
 
 
 def structure_report(rep):

@@ -26,7 +26,7 @@ EIG_STRINGS = (
     "1/2", "-3/4", "(1+1)/(3)", "--2", "+-+7", "٣", " 5 ", "\t2", "0", "",
     "1/0", "(1)/(0)", "(1)/(2-2)", "1.5", "x", "3 4", "3/-4", "2^3", "(3)",
     "1/2)", "(1+2", "(1)/(2", "2*", "1+", "$", "z^2", "z^-1", "(1)/(z^2+1)",
-    "2*z+1",
+    "2*z+1", "(1)/(2)*3", "(1)/(2)3", "(1)/(2))",
 )
 
 MODULI = (
@@ -40,7 +40,10 @@ PAIRS = (
     ["--eig", "1", "--eig", "2", "--eig", "5"],
     ["--eig", "1", "--eig", "2", "--eig", "2", "--eig", "1", "--D", "2"],
     ["--eig", "1", "--eig", "1", "--eig", "1", "--eig", "1", "--eig", "32", "--gamma", "2"],
+    ["--symbolic", "--dim", "2"],
     ["--symbolic", "--dim", "3"],
+    ["--symbolic", "--dim", "4"],
+    ["--symbolic", "--dim", "5"],
     ["--modulus", "z^2+1", "--eig", "z", "--eig", "2"],
     ["--family", "binomial", "--eig", "4", "--eig", "2", "--eig", "1"],
 )

@@ -57,7 +57,7 @@ def test_criterion_01_braid_relation_symbolic():
     """Free-parameter builds satisfy the braid relation in every dimension."""
     start = time.monotonic()
     for d in DIMS:
-        _, spec = symbolic_classified_spec(d)
+        spec = symbolic_classified_spec(d)
         assert verify_braid(build_rep(spec)), d
     assert time.monotonic() - start < 60
 
@@ -73,7 +73,7 @@ def test_criterion_02_structure_identities_symbolic():
     """
     start = time.monotonic()
     for d in DIMS:
-        _, spec = symbolic_classified_spec(d)
+        spec = symbolic_classified_spec(d)
         report = structure_report(build_rep(spec))
         assert report.skew_diag_ok, d
         assert report.delta_power_ok, d
@@ -97,7 +97,7 @@ def test_criterion_03_pair_scalar_closed_form_vs_oracle():
     """
     start = time.monotonic()
     for d in (2, 3):
-        _, spec = symbolic_classified_spec(d)
+        spec = symbolic_classified_spec(d)
         rep = build_rep(spec)
         for r in range(1, d + 1):
             for s in range(1, d + 1):

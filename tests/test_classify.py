@@ -154,7 +154,7 @@ def test_q_closed_dim5_frozen_values():
 
 def test_q_symmetric_in_the_pair():
     for d in (2, 3, 4, 5):
-        _, spec = symbolic_classified_spec(d)
+        spec = symbolic_classified_spec(d)
         for r in range(1, d + 1):
             for s in range(r + 1, d + 1):
                 assert q_from_spec(spec, r, s) == q_from_spec(spec, s, r)
@@ -191,7 +191,7 @@ def test_p_poly_of_a_has_rank_one():
 
 def test_oracle_matches_closed_form_symbolically_dims_2_3_4():
     for d in (2, 3, 4):
-        _, spec = symbolic_classified_spec(d)
+        spec = symbolic_classified_spec(d)
         rep = build_rep(spec)
         for r in range(1, d + 1):
             for s in range(r + 1, d + 1):
@@ -210,7 +210,7 @@ def test_oracle_matches_closed_form_specialized_dim5():
 
 def test_corner_route_matches_closed_form():
     for d in (2, 3, 4):
-        _, spec = symbolic_classified_spec(d)
+        spec = symbolic_classified_spec(d)
         assert q_corner(build_rep(spec)) == q_from_spec(spec, 1, d)
     rng = random.Random(29)
     for _ in range(5):
@@ -294,7 +294,7 @@ def test_is_simple_frozen_examples():
 
 def test_is_simple_symbolic_generic_point():
     for d in (2, 3, 4, 5):
-        _, spec = symbolic_classified_spec(d)
+        spec = symbolic_classified_spec(d)
         report = is_simple(spec)
         assert report.simple is True
 
@@ -370,7 +370,7 @@ def test_each_obstruction_generator_zeros_exactly_its_pair_scalars():
     cases = one_generator_specs()
     for d in (3, 4, 5):
         # one spec per generator of the dimension
-        labels = [o.label for o in obstruction_generators(symbolic_classified_spec(d)[1])]
+        labels = [o.label for o in obstruction_generators(symbolic_classified_spec(d))]
         assert sorted(label for spec, label in cases if spec.dim == d) == sorted(labels)
     for spec, label in cases:
         d = spec.dim
@@ -415,7 +415,7 @@ def test_burnside_rejects_identity_pair():
 
 
 def test_burnside_rejects_symbolic_backend():
-    _, spec = symbolic_classified_spec(2)
+    spec = symbolic_classified_spec(2)
     rep = build_rep(spec)
     with pytest.raises(ValueError):
         burnside_oracle(rep)
@@ -717,7 +717,7 @@ def test_delta_from_spec_rejects_binomial_spec():
 
 def test_sl2z_flags_reject_symbolic_backend():
     with pytest.raises(ValueError):
-        _, spec = symbolic_classified_spec(2)
+        spec = symbolic_classified_spec(2)
         sl2z_flags(spec)
 
 

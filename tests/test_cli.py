@@ -322,6 +322,17 @@ def test_verify_braid_only_partial_report(capsys, monkeypatch):
     assert list(json.loads(out)) == ["braid_ok", "triangular_ok"]
 
 
+def test_verify_full_report_keys(capsys, monkeypatch):
+    _, out, _ = run_cli(capsys, ["construct", "--dim", "3", "--symbolic"])
+    code, out, _ = run_cli(capsys, ["verify"], stdin_text=out, monkeypatch=monkeypatch)
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "braid_ok", "triangular_ok", "skew_diag_ok", "sigma", "delta",
+        "delta_power_ok", "b_symmetry_ok", "ba_skew_ok", "ba_zero_ok",
+        "corner_ok", "strict_symmetry", "sign_pattern_ok", "structure_error",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -344,6 +355,14 @@ def test_classify_report_only_keeps_exit_zero(capsys):
     ])
     assert code == 0
     assert json.loads(out)["simple"] is False
+
+
+def test_classify_report_keys(capsys):
+    _, out, _ = run_cli(capsys, ["classify", "--dim", "2", "--eig", "2", "--eig", "3"])
+    assert list(json.loads(out)) == [
+        "simple", "vanishing_factors", "sl2z", "psl2z", "burnside",
+        "deligne_certificate", "westbury",
+    ]
 
 
 def test_classify_with_span_oracle(capsys):

@@ -18,7 +18,6 @@ from braidrep import dims
 from braidrep.dims import (
     BCD_SUMMANDS,
     EXCEPTIONAL_CATALOG,
-    EXCEPTIONAL_SUMMANDS,
     bcd_context,
     bcd_dims,
     bracket_product,
@@ -272,7 +271,6 @@ def test_route_dual_summand_compact_form(exceptional_routes):
 def test_catalog_bracket_counts_balance():
     for name, num, den in EXCEPTIONAL_CATALOG:
         assert len(num) == len(den), name
-    assert [name for name, _, _ in EXCEPTIONAL_CATALOG] == list(EXCEPTIONAL_SUMMANDS)
 
 
 def test_catalog_invariant_under_generator_inversion():

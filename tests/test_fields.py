@@ -20,6 +20,7 @@ from braidrep.fields import (
     VarContext,
     ZeroDivisorError,
     cyclotomic_field,
+    root_of_unity,
 )
 from braidrep.laurent import kronecker_mul, sparse_mul
 
@@ -294,6 +295,41 @@ def test_numberfield_repr_shows_whole_modulus():
     assert repr(cyclotomic_field(5)) == "NumberField(z^4+z^3+z^2+z+1)"
 
 
+def test_backend_reprs():
+    assert repr(RationalField()) == "RationalField()"
+    assert repr(SymbolicField(VarContext(("x", "y")))) == "SymbolicField(x,y)"
+    assert repr(NumberField.from_modulus_string("z^2+1")) == "NumberField(z^2+1)"
+    assert repr(FactoredField(VarContext(("u", "w")))) == "FactoredField(u,w)"
+
+
+def _is_primitive_root(x, order):
+    one = x.field.one
+    return x ** order == one and all(x ** k != one for k in range(1, order))
+
+
+@pytest.mark.parametrize("modulus", ["z^2+3", "z^2+12", "z^2+3/4", "z^2+27"])
+def test_root_of_unity_from_sqrt_minus_three(modulus):
+    # the generator search finds nothing here; sqrt(-3) is a rational
+    # multiple of 2z+b for the modulus z^2+bz+c
+    k = NumberField.from_modulus_string(modulus)
+    for order in (3, 6):
+        assert _is_primitive_root(root_of_unity(k, order), order)
+
+
+@pytest.mark.parametrize("modulus", ["z^2+1", "z^2+2"])
+def test_root_of_unity_absent(modulus):
+    k = NumberField.from_modulus_string(modulus)
+    for order in (3, 6):
+        with pytest.raises(ValueError, match="no primitive root of order %d" % order):
+            root_of_unity(k, order)
+
+
+def test_root_of_unity_in_cyclotomic_fields_is_a_generator_power():
+    z3, z6 = cyclotomic_field(3), cyclotomic_field(6)
+    assert root_of_unity(z3, 3) == z3.gen and root_of_unity(z3, 6) == -z3.gen
+    assert root_of_unity(z6, 3) == -z6.gen and root_of_unity(z6, 6) == z6.gen
+
+
 RATIONAL_PARSES = {
     "3": Fraction(3),
     "-3/4": Fraction(-3, 4),
@@ -369,7 +405,10 @@ READER_REFUSALS = [
     (ALL_READER_FIELDS, "3/0", "zero denominator"),
     (ALL_READER_FIELDS, "(1)/(2-2)", "zero denominator"),
     (ALL_READER_FIELDS, "3 4", "expected '+' or '-' between terms"),
-    (ALL_READER_FIELDS, "(1)/(2)+(3)", "expected '+' or '-' between terms"),
+    (ALL_READER_FIELDS, "(1)/(2)+(3)", "unexpected '+' after the denominator"),
+    (ALL_READER_FIELDS, "(1)/(2)*3", "unexpected '*' after the denominator"),
+    (ALL_READER_FIELDS, "(1)/(2)3", "unexpected '3' after the denominator"),
+    (ALL_READER_FIELDS, "(1)/(2))", "unexpected ')' after the denominator"),
     (ALL_READER_FIELDS, "1+", "expected a term"),
     (ALL_READER_FIELDS, "(2)", "unexpected token '('"),
     (ALL_READER_FIELDS, "2*)", "unexpected token ')'"),

@@ -34,7 +34,7 @@ from oracles import binomial_identity_check, verify_lemma_identities, verify_ske
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_symbolic_build_satisfies_braid(d):
-    _, spec = symbolic_classified_spec(d)
+    spec = symbolic_classified_spec(d)
     rep = build_rep(spec)
     assert verify_braid(rep)
     assert verify_ordered_triangular(rep)
@@ -68,7 +68,8 @@ class TestStructureSymbolic:
     """
 
     def test_dim2(self):
-        field, spec = symbolic_classified_spec(2)
+        spec = symbolic_classified_spec(2)
+        field = spec.field
         rep = build_rep(spec)
         r = structure_report(rep)
         l1, l2 = field.var("l1"), field.var("l2")
@@ -82,7 +83,8 @@ class TestStructureSymbolic:
         assert r.strict_symmetry is False
 
     def test_dim3(self):
-        field, spec = symbolic_classified_spec(3)
+        spec = symbolic_classified_spec(3)
+        field = spec.field
         rep = build_rep(spec)
         r = structure_report(rep)
         prod = field.var("l1") * field.var("l2") * field.var("l3")
@@ -93,7 +95,8 @@ class TestStructureSymbolic:
         assert r.strict_symmetry is True
 
     def test_dim4(self):
-        field, spec = symbolic_classified_spec(4)
+        spec = symbolic_classified_spec(4)
+        field = spec.field
         rep = build_rep(spec)
         r = structure_report(rep)
         gsq = field.var("l2") * field.var("l3") / field.var("D")
@@ -104,7 +107,8 @@ class TestStructureSymbolic:
         assert r.sign_pattern_ok is True
 
     def test_dim5(self):
-        field, spec = symbolic_classified_spec(5)
+        spec = symbolic_classified_spec(5)
+        field = spec.field
         rep = build_rep(spec)
         r = structure_report(rep)
         g = field.var("g")
@@ -275,7 +279,7 @@ def test_skew_criterion_on_binomial_family():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_lemma_identities_symbolic(d):
-    _, spec = symbolic_classified_spec(d)
+    spec = symbolic_classified_spec(d)
     rep = build_rep(spec)
     out = verify_lemma_identities(rep)
     assert out["conjugation_swaps"]
@@ -304,7 +308,8 @@ def test_lemma_identities_specialized(d):
 
 
 def test_rescale_preserves_structure():
-    field, spec = symbolic_classified_spec(3)
+    spec = symbolic_classified_spec(3)
+    field = spec.field
     rep = build_rep(spec)
     two = field.const(2)
     scaled = rescale_basis(rep, [two, field.one, two])
@@ -319,7 +324,8 @@ def test_rescale_preserves_structure():
 
 
 def test_rescale_validation():
-    field, spec = symbolic_classified_spec(2)
+    spec = symbolic_classified_spec(2)
+    field = spec.field
     rep = build_rep(spec)
     with pytest.raises(ValueError):
         rescale_basis(rep, [field.one, field.const(2)])  # not palindromic
@@ -330,7 +336,7 @@ def test_rescale_validation():
 
 
 def test_json_round_trip_symbolic():
-    _, spec = symbolic_classified_spec(4)
+    spec = symbolic_classified_spec(4)
     rep = build_rep(spec)
     text = json.dumps(rep_to_json_dict(rep), indent=2)
     back = rep_from_json(text)
