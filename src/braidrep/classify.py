@@ -7,7 +7,8 @@ P_r(A) P_s(B) P_r(A) is a scalar multiple Q_rs of the rank-one matrix P_r(A),
 and the pair is simple iff every Q_rs is nonzero.  This module evaluates the
 closed forms of Q_rs and of the central scalar from a classified RepSpec:
 q_scalars is the one evaluation of the Q closed forms, forming its whole
-factor table once per call, q_from_spec is its per-pair wrapper, and
+factor table once per call (over Q on the spec cleared of denominators,
+so the table holds integers), q_from_spec is its per-pair wrapper, and
 delta_from_spec gives the central scalar; both read the root parameter
 through one bridge, _root_square.  The module also recomputes Q_rs from
 the defining matrix identity as an independent route, and cross-checks
@@ -19,10 +20,11 @@ Every check is exact; nothing here tolerates approximation.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 from itertools import combinations
 import math
 
-from .fields import SymbolicField, root_of_unity
+from .fields import RationalField, Scalar, SymbolicField, root_of_unity
 from .matrices import SquareMatrix, UniPoly, dot, nullspace_basis, nullspace_dim, spin, times, vec
 from .reps import CLASSIFIED, RepSpecError
 
@@ -53,26 +55,46 @@ def _root_square(spec):
     return spec.root_param ** 2
 
 
+def _cleared(spec):
+    """(S, L, G, G2) for a spec over Q: S the lcm of the denominators of the
+    eigenvalues (and of gamma), L_i = S*l_i and G = S*gamma as integers, and
+    G2 = S^2*g^2, that is G^2, or L2*L3/D (a Fraction) in dimension 4."""
+    values = [x.value for x in spec.eigenvalues]
+    if spec.dim == 5:
+        values.append(spec.root_param.value)
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    g = g2 = None
+    if spec.dim == 4:
+        g2 = ints[1] * ints[2] / spec.root_param.value
+    elif spec.dim == 5:
+        g = ints.pop()
+        g2 = g * g
+    return scale, ints, g, g2
+
+
 def q_scalars(spec, pairs):
     """Closed forms of the Q scalars of a classified spec: {(r, s): Q_rs}.
 
     The one evaluation of the closed forms; q_from_spec is its per-pair
     wrapper.  pairs is a list of ordered index pairs r != s in 1..d, and
-    the result keeps its order.  Each call forms the root square
-    (_root_square), the leading factor (-(g^2)^-1 in dimension 4, g^-8 in
-    dimension 5) and the whole factor table once, and Q_rs is a product of
-    table entries:
+    the result keeps its order.  Each call forms the leading factor (1, or
+    -(g^2)^-1 in dimension 4 and (g^2)^-4 in dimension 5) on the spec's
+    Scalars and the whole factor table once, and Q_rs = lead * P_rs for a
+    product P_rs of k = 2^(d-2) table entries:
 
-      d = 2: Q_rs = -l_r^2 + l_r*l_s - l_s^2, no table;
-      d = 3: Q_rs = F_r F_s, with F_i = l_i^2 + l_j*l_k;
-      d = 4: Q_rs = -(g^2)^-1 (l_r^2+g^2)(l_s^2+g^2) times the two
+      d = 2: P_rs = -l_r^2 + l_r*l_s - l_s^2, no table;
+      d = 3: P_rs = F_r F_s, with F_i = l_i^2 + l_j*l_k;
+      d = 4: P_rs = (l_r^2+g^2)(l_s^2+g^2) times the two
              g^2 + l_a*l_b + l_c*l_e whose pairing {a,b | c,e} separates r and s;
-      d = 5: Q_rs = g^-8 (g^2+g*l_r+l_r^2)(g^2+g*l_s+l_s^2) times
+      d = 5: P_rs = (g^2+g*l_r+l_r^2)(g^2+g*l_s+l_s^2) times
              g^2 + l_i*l_k for every i in {r, s} and k outside it.
 
-    Each pair multiplies its factors in its own order, r's before s's, so
-    Q_rs and Q_sr are two different products.  The root parameter enters
-    through _root_square, and in dimension 5 also as the fifth root itself.
+    Over Q the table runs on the spec cleared of denominators (_cleared):
+    each entry, of degree 2, is then S^2 times its factor, and
+    Q_rs = lead * P_rs / S^(2k) is formed as one Fraction.  Other backends
+    run the same table on their Scalars, each pair multiplying its factors
+    in its own order, r's before s's.
     """
     if spec.family != CLASSIFIED:
         raise RepSpecError("Q scalars apply to the classified family")
@@ -80,19 +102,23 @@ def q_scalars(spec, pairs):
     for r, s in pairs:
         if r == s or not (1 <= r <= d and 1 <= s <= d):
             raise ValueError("indices must be distinct and within 1..%d" % d)
-    lam = dict(enumerate(spec.eigenvalues, start=1))
+    lam, g = spec.eigenvalues, spec.root_param
+    g2 = _root_square(spec) if d >= 4 else None
+    lead = -(g2.inv()) if d == 4 else g2 ** -4 if d == 5 else None
+    rational = isinstance(spec.field, RationalField)
+    if rational:
+        scale, lam, g, g2 = _cleared(spec)
+    lam = dict(enumerate(lam, start=1))
     if d == 2:
-        return {
+        products = {
             (r, s): -(lam[r] ** 2) + lam[r] * lam[s] - lam[s] ** 2 for r, s in pairs
         }
-    if d == 3:
+    elif d == 3:
         factors = {
             i: lam[i] ** 2 + lam[j] * lam[k] for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2))
         }
-        return {(r, s): factors[r] * factors[s] for r, s in pairs}
-    g2 = _root_square(spec)
-    if d == 4:
-        lead = -(g2.inv())
+        products = {(r, s): factors[r] * factors[s] for r, s in pairs}
+    elif d == 4:
         squares = {i: lam[i] ** 2 + g2 for i in lam}
         # pairing[i, k] is the pairing {i, k | j, l} of 1..4
         pairing = {}
@@ -100,26 +126,33 @@ def q_scalars(spec, pairs):
             pairing[a, b] = pairing[b, a] = pairing[c, e] = pairing[e, c] = (
                 g2 + lam[a] * lam[b] + lam[c] * lam[e]
             )
-        out = {}
+        products = {}
         for r, s in pairs:
             k, l = (i for i in lam if i not in (r, s))
             # every pairing but {r, s | k, l}
-            out[r, s] = lead * squares[r] * squares[s] * pairing[r, k] * pairing[r, l]
-        return out
-    g = spec.root_param
-    lead = g ** -8
-    squares = {i: g2 + lam[i] * g + lam[i] ** 2 for i in lam}
-    links = {}
-    for i, k in combinations(lam, 2):
-        links[i, k] = links[k, i] = g2 + lam[i] * lam[k]
-    out = {}
-    for r, s in pairs:
-        q = lead * squares[r] * squares[s]
-        for k in lam:
-            if k not in (r, s):
-                q = q * links[r, k] * links[s, k]
-        out[r, s] = q
-    return out
+            products[r, s] = squares[r] * squares[s] * pairing[r, k] * pairing[r, l]
+    else:
+        squares = {i: g2 + lam[i] * g + lam[i] ** 2 for i in lam}
+        links = {}
+        for i, k in combinations(lam, 2):
+            links[i, k] = links[k, i] = g2 + lam[i] * lam[k]
+        products = {}
+        for r, s in pairs:
+            p = squares[r] * squares[s]
+            for k in lam:
+                if k not in (r, s):
+                    p = p * links[r, k] * links[s, k]
+            products[r, s] = p
+    if rational:
+        lead = Fraction(1) if lead is None else lead.value
+        den = lead.denominator * scale ** (2 ** (d - 1))
+        return {
+            pair: Scalar(spec.field, Fraction(lead.numerator * p, den))
+            for pair, p in products.items()
+        }
+    if lead is not None:
+        products = {pair: lead * p for pair, p in products.items()}
+    return products
 
 
 def q_from_spec(spec, r, s):
@@ -270,9 +303,10 @@ class ClassificationReport:
 def is_simple(spec):
     """Classify the spec: simple iff every Q scalar with r != s is nonzero.
 
-    The verdict is computed twice, from the Q closed forms and from the
-    obstruction generator list; the two routes cover the same zero locus, so
-    disagreement is an internal error, not a data-dependent outcome.
+    The verdict is computed twice, from the Q closed forms (q_scalars, over
+    Q on cleared integers) and from the obstruction generator list, which
+    stays on the field's Scalars; the two routes cover the same zero locus,
+    so disagreement is an internal error, not a data-dependent outcome.
     """
     if spec.family != CLASSIFIED:
         raise RepSpecError("simplicity classification applies to the classified family")

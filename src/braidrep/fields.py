@@ -491,8 +491,9 @@ def root_of_unity(field, order):
     Searches small integer combinations of generator powers (enough for every
     field this package constructs), then, for a quadratic modulus
     z^2+bz+c, reads sqrt(-3) off sqrt(D) = 2z+b, D = b^2-4c, when -3/D is a
-    rational square; raises ValueError when neither finds a root.  order
-    must be 3 or 6.
+    rational square; raises ValueError when neither finds a root, saying
+    in degree >= 3 that the search is incomplete there.  order must be 3
+    or 6.
     """
     if order not in (3, 6):
         raise ValueError("only cube and sixth roots are supported")
@@ -517,4 +518,7 @@ def root_of_unity(field, order):
                 # sqrt(-3) = r*(2z+b), and (trace + sqrt(-3))/2 is a root
                 # of x^2 - trace*x + 1
                 return (trace + field.element([r * b, 2 * r])) / 2
+    if field.degree >= 3:
+        raise ValueError("found no primitive root of order %d; the search is "
+                         "incomplete in fields of degree >= 3" % order)
     raise ValueError("field contains no primitive root of order %d" % order)

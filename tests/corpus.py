@@ -48,6 +48,22 @@ PAIRS = (
     ["--family", "binomial", "--eig", "4", "--eig", "2", "--eig", "1"],
 )
 
+# specs over Q with fractional eigenvalues, d = 2..5: a fractional D, a
+# negative and a fractional gamma, and a vanishing Q in each of d = 3..5
+Q_SPECS = tuple(
+    ["--eig=" + x for x in eigs.split()] + root.split()
+    for eigs, root in (
+        ("1/2 -3/4", ""),
+        ("2/3 -1/5 7/2", ""),
+        ("1/2 3/5 -5/12", ""),
+        ("1/2 2/3 3/4 9", "--D=-1/3"),
+        ("2 2/3 3/4 16", "--D=-1/8"),
+        ("1/3 2 3/4 -1/5 5/16", "--gamma=-1/2"),
+        ("1/3 -3/4 2 -5/7 7/80", "--gamma=1/2"),
+        ("1/2 -8/9 3 1/5 40/81", "--gamma=-2/3"),
+    )
+)
+
 USAGE = (
     [],
     ["classify"],
@@ -96,6 +112,12 @@ def commands():
     yield ["classify", "--eig", "1", "--eig", "-1", "--eig", "1"], None, False
     yield ["qpoly", "--eig", "1", "--eig", "1", "--eig", "1", "--eig", "1", "--eig", "32",
            "--gamma", "2", "--format", "text"], None, False
+    for spec in Q_SPECS:
+        for fmt in ("json", "text"):
+            yield ["qpoly", *spec, "--format", fmt], None, False
+            yield ["classify", *spec, "--oracle", "burnside", "--membership",
+                   "--certificate", "--format", fmt], None, False
+        yield ["qpoly", *spec, "--r", "2", "--s", "1"], None, False
     for pair in PAIRS:
         for check in ("all", "braid"):
             for broken in (False, True):

@@ -152,6 +152,53 @@ def test_q_closed_dim5_frozen_values():
     })
 
 
+def route_specs():
+    """Seeded specs over Q from every sampler kind, bounds 3, 10 and 50,
+    d = 2..5; degenerate d = 2 is left out, since its zeros need a sixth
+    root of unity."""
+    for d in (2, 3, 4, 5):
+        for sampler in (random_classified_spec, degenerate_classified_spec, central_unit_spec):
+            if d == 2 and sampler is degenerate_classified_spec:
+                continue
+            for bound in (3, 10, 50):
+                for seed in (1, 2):
+                    yield sampler(d, random.Random(100 * seed + bound), field=Q, bound=bound)
+
+
+def test_q_over_cleared_integers_matches_the_scalar_route_and_the_oracle():
+    # over Q the factor table runs on integers; the same eigenvalues as
+    # constants of a number field take the Scalar route, and q_oracle
+    # reads Q_rs off the matrices with no closed form
+    k = NumberField.from_modulus_string("z^2+1")
+    seen = set()
+    for spec in route_specs():
+        d = spec.dim
+        ordered = [(r, s) for r in range(1, d + 1) for s in range(1, d + 1) if r != s]
+        q = q_scalars(spec, ordered)
+        root = spec.root_param
+        lifted = RepSpec(
+            CLASSIFIED, [k.const(x.value) for x in spec.eigenvalues],
+            root_param=None if root is None else k.const(root.value),
+        )
+        scalar_route = q_scalars(lifted, ordered)
+        rep = build_rep(spec)
+        distinct = len({x.value for x in spec.eigenvalues}) == d
+        for pair in ordered:
+            assert scalar_route[pair] == k.const(q[pair].value), (spec.eigenvalues, pair)
+            if distinct:
+                assert q_oracle(rep, *pair) == q[pair], (spec.eigenvalues, pair)
+        seen.add(("distinct", distinct))
+        seen.add(("zero Q", any(value.is_zero() for value in q.values())))
+        if d == 4:
+            seen.add(("fractional D", root.value.denominator > 1))
+        if d == 5:
+            seen.add(("negative gamma", root.value < 0))
+            seen.add(("fractional gamma", root.value.denominator > 1))
+    assert {key for key, flag in seen if flag} == {
+        "distinct", "zero Q", "fractional D", "negative gamma", "fractional gamma",
+    }
+
+
 def test_q_symmetric_in_the_pair():
     for d in (2, 3, 4, 5):
         spec = symbolic_classified_spec(d)
@@ -393,6 +440,21 @@ def test_is_simple_cross_check_sees_a_dropped_generator(monkeypatch):
         classify, "obstruction_generators",
         lambda spec: [o for o in real(spec) if o.label not in vanishing],
     )
+    with pytest.raises(RuntimeError, match="disagree on the zero locus"):
+        is_simple(spec)
+
+
+def test_is_simple_cross_check_sees_a_corrupted_cleared_value(monkeypatch):
+    spec = degenerate_classified_spec(5, random.Random(31), bound=5)
+    assert not is_simple(spec).simple
+    real = classify._cleared
+
+    def corrupted(spec):
+        # every factor of the d = 5 table holds the cleared root square
+        scale, ints, g, g2 = real(spec)
+        return scale, ints, g, g2 + 1
+
+    monkeypatch.setattr(classify, "_cleared", corrupted)
     with pytest.raises(RuntimeError, match="disagree on the zero locus"):
         is_simple(spec)
 

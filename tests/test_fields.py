@@ -324,6 +324,16 @@ def test_root_of_unity_absent(modulus):
             root_of_unity(k, order)
 
 
+def test_root_of_unity_search_says_it_is_incomplete_past_degree_two():
+    # z = sqrt(2) + sqrt(-3): the field holds a primitive cube root that
+    # no generator power +-z^k +- 1 is, and the modulus is not quadratic
+    k = NumberField.from_modulus_string("z^4+2*z^2+25")
+    assert _is_primitive_root(k.parse("(-z^3-7*z-10)/(20)"), 3)
+    for order in (3, 6):
+        with pytest.raises(ValueError, match="search is incomplete in fields of degree >= 3"):
+            root_of_unity(k, order)
+
+
 def test_root_of_unity_in_cyclotomic_fields_is_a_generator_power():
     z3, z6 = cyclotomic_field(3), cyclotomic_field(6)
     assert root_of_unity(z3, 3) == z3.gen and root_of_unity(z3, 6) == -z3.gen
