@@ -4,17 +4,20 @@ A classified pair is simple exactly when none of a short list of obstruction
 polynomials in the eigenvalues (and root parameter) vanishes.  The criterion
 lives in the Q scalars: for each index pair r != s, the triple product
 P_r(A) P_s(B) P_r(A) is a scalar multiple Q_rs of the rank-one matrix P_r(A),
-and the pair is simple iff every Q_rs is nonzero.  This module evaluates the
-closed forms of Q_rs and of the central scalar from a classified RepSpec:
-q_scalars is the one evaluation of the Q closed forms, forming its whole
-factor table once per call (over Q on the spec cleared of denominators,
-so the table holds integers), q_from_spec is its per-pair wrapper, and
-delta_from_spec gives the central scalar; both read the root parameter
-through one bridge, _root_square.  The module also recomputes Q_rs from
-the defining matrix identity as an independent route, and cross-checks
-the verdict against a generated-algebra span oracle that knows nothing
-about the closed forms (Norton's irreducibility test at the eigenvalues
-of the pair's spec, with the span of words as its fallback).
+and the pair is simple iff every Q_rs is nonzero.  The obstruction
+polynomials are stated once, as one factor table (_factors), and Q_rs is
+a leading factor times the table's factors that separate r from s.  This
+module evaluates the closed forms of Q_rs and of the central scalar from
+a classified RepSpec: obstruction_generators is the table on the spec's
+Scalars, q_scalars the one evaluation of the Q closed forms (over Q on
+the spec cleared of denominators, so the table holds integers),
+q_from_spec its per-pair wrapper, and delta_from_spec gives the central
+scalar; all read the root parameter through one bridge, _root_square.
+The module also recomputes Q_rs from the defining matrix identity as an
+independent route, and cross-checks the verdict against a
+generated-algebra span oracle that knows nothing about the closed forms
+(Norton's irreducibility test at the eigenvalues of the pair's spec,
+with the span of words as its fallback).
 
 Every check is exact; nothing here tolerates approximation.
 """
@@ -73,28 +76,69 @@ def _cleared(spec):
     return scale, ints, g, g2
 
 
+# One evaluated factor of the closed forms: a label, the eigenvalue indices
+# involved, the value, and the side: Q_rs has the factor exactly when one
+# of r, s is on its side.
+Obstruction = namedtuple("Obstruction", "label indices value side")
+
+
+def _factors(d, lam, g, g2):
+    """The factor table of dimension d, evaluated at the eigenvalues lam,
+    the root parameter g and its square g2 (_root_square; g is read only
+    in dimension 5, g2 from dimension 4 on).
+
+      d = 2: l1^2-l1*l2+l2^2, side {1};
+      d = 3: l_i^2+l_j*l_k, side {i};
+      d = 4: l_i^2+g^2, side {i}, then g^2+l_i*l_j+l_r*l_s for each
+             pairing {i,j | r,s} of 1..4, side {i, j};
+      d = 5: g^2+g*l_i+l_i^2, side {i}, then g^2+l_i*l_j, side {i, j}.
+
+    Every ordered pair r != s separates exactly 2^(d-2) of the factors.
+    """
+    lam = dict(enumerate(lam, start=1))
+    if d == 2:
+        return [Obstruction(
+            "l1^2-l1*l2+l2^2", [1, 2], lam[1] ** 2 - lam[1] * lam[2] + lam[2] ** 2, {1},
+        )]
+    if d == 3:
+        return [
+            Obstruction("l%d^2+l%d*l%d" % (i, j, k), [i, j, k], lam[i] ** 2 + lam[j] * lam[k], {i})
+            for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2))
+        ]
+    if d == 4:
+        return [
+            Obstruction("l%d^2+g^2" % i, [i], lam[i] ** 2 + g2, {i}) for i in lam
+        ] + [
+            Obstruction(
+                "g^2+l%d*l%d+l%d*l%d" % (i, j, r, s), [i, j, r, s],
+                g2 + lam[i] * lam[j] + lam[r] * lam[s], {i, j},
+            )
+            for i, j, r, s in ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3))
+        ]
+    return [
+        Obstruction("g^2+g*l%d+l%d^2" % (i, i), [i], g2 + g * lam[i] + lam[i] ** 2, {i})
+        for i in lam
+    ] + [
+        Obstruction("g^2+l%d*l%d" % (i, j), [i, j], g2 + lam[i] * lam[j], {i, j})
+        for i, j in combinations(lam, 2)
+    ]
+
+
 def q_scalars(spec, pairs):
     """Closed forms of the Q scalars of a classified spec: {(r, s): Q_rs}.
 
     The one evaluation of the closed forms; q_from_spec is its per-pair
     wrapper.  pairs is a list of ordered index pairs r != s in 1..d, and
-    the result keeps its order.  Each call forms the leading factor (1, or
-    -(g^2)^-1 in dimension 4 and (g^2)^-4 in dimension 5) on the spec's
-    Scalars and the whole factor table once, and Q_rs = lead * P_rs for a
-    product P_rs of k = 2^(d-2) table entries:
-
-      d = 2: P_rs = -l_r^2 + l_r*l_s - l_s^2, no table;
-      d = 3: P_rs = F_r F_s, with F_i = l_i^2 + l_j*l_k;
-      d = 4: P_rs = (l_r^2+g^2)(l_s^2+g^2) times the two
-             g^2 + l_a*l_b + l_c*l_e whose pairing {a,b | c,e} separates r and s;
-      d = 5: P_rs = (g^2+g*l_r+l_r^2)(g^2+g*l_s+l_s^2) times
-             g^2 + l_i*l_k for every i in {r, s} and k outside it.
+    the result keeps its order.  Each call evaluates the factor table
+    (_factors) once, and Q_rs = lead * P_rs, with P_rs the product of the
+    factors that have exactly one of r, s on their side, in table order,
+    and lead = -1, 1, -(g^2)^-1 and (g^2)^-4 for d = 2..5, formed on the
+    spec's Scalars.
 
     Over Q the table runs on the spec cleared of denominators (_cleared):
-    each entry, of degree 2, is then S^2 times its factor, and
-    Q_rs = lead * P_rs / S^(2k) is formed as one Fraction.  Other backends
-    run the same table on their Scalars, each pair multiplying its factors
-    in its own order, r's before s's.
+    each factor, of degree 2, is then S^2 times its value, and
+    Q_rs = lead * P_rs / S^(2^(d-1)) is formed as one Fraction.  Other
+    backends run the same table on their Scalars.
     """
     if spec.family != CLASSIFIED:
         raise RepSpecError("Q scalars apply to the classified family")
@@ -104,55 +148,27 @@ def q_scalars(spec, pairs):
             raise ValueError("indices must be distinct and within 1..%d" % d)
     lam, g = spec.eigenvalues, spec.root_param
     g2 = _root_square(spec) if d >= 4 else None
-    lead = -(g2.inv()) if d == 4 else g2 ** -4 if d == 5 else None
+    lead = -1 if d == 2 else 1 if d == 3 else -(g2.inv()) if d == 4 else g2 ** -4
     rational = isinstance(spec.field, RationalField)
     if rational:
         scale, lam, g, g2 = _cleared(spec)
-    lam = dict(enumerate(lam, start=1))
-    if d == 2:
-        products = {
-            (r, s): -(lam[r] ** 2) + lam[r] * lam[s] - lam[s] ** 2 for r, s in pairs
-        }
-    elif d == 3:
-        factors = {
-            i: lam[i] ** 2 + lam[j] * lam[k] for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2))
-        }
-        products = {(r, s): factors[r] * factors[s] for r, s in pairs}
-    elif d == 4:
-        squares = {i: lam[i] ** 2 + g2 for i in lam}
-        # pairing[i, k] is the pairing {i, k | j, l} of 1..4
-        pairing = {}
-        for a, b, c, e in ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3)):
-            pairing[a, b] = pairing[b, a] = pairing[c, e] = pairing[e, c] = (
-                g2 + lam[a] * lam[b] + lam[c] * lam[e]
-            )
-        products = {}
-        for r, s in pairs:
-            k, l = (i for i in lam if i not in (r, s))
-            # every pairing but {r, s | k, l}
-            products[r, s] = squares[r] * squares[s] * pairing[r, k] * pairing[r, l]
-    else:
-        squares = {i: g2 + lam[i] * g + lam[i] ** 2 for i in lam}
-        links = {}
-        for i, k in combinations(lam, 2):
-            links[i, k] = links[k, i] = g2 + lam[i] * lam[k]
-        products = {}
-        for r, s in pairs:
-            p = squares[r] * squares[s]
-            for k in lam:
-                if k not in (r, s):
-                    p = p * links[r, k] * links[s, k]
-            products[r, s] = p
+    table = _factors(d, lam, g, g2)
+    products = {}
+    for r, s in pairs:
+        first, *rest = (f.value for f in table if (r in f.side) != (s in f.side))
+        products[r, s] = math.prod(rest, start=first)
     if rational:
-        lead = Fraction(1) if lead is None else lead.value
+        lead = Fraction(lead if d <= 3 else lead.value)
         den = lead.denominator * scale ** (2 ** (d - 1))
         return {
             pair: Scalar(spec.field, Fraction(lead.numerator * p, den))
             for pair, p in products.items()
         }
-    if lead is not None:
-        products = {pair: lead * p for pair, p in products.items()}
-    return products
+    # below dimension 4 the lead is a sign, not a product
+    return {
+        pair: lead * p if d >= 4 else p if lead == 1 else -p
+        for pair, p in products.items()
+    }
 
 
 def q_from_spec(spec, r, s):
@@ -207,13 +223,9 @@ def q_oracle(rep, r, s):
     return q
 
 
-# One evaluated obstruction generator: a label, the eigenvalue indices
-# involved, and the exact value at the spec's parameters.
-Obstruction = namedtuple("Obstruction", "label indices value")
-
-
 def obstruction_generators(spec):
-    """The obstruction list for the spec's dimension, evaluated at its data.
+    """The obstruction list for the spec's dimension: the factor table
+    (_factors) evaluated on the spec's Scalars.
 
     The pair is simple iff no value in this list is zero; the list is the
     irredundant generator set of the non-simple locus per dimension.  For
@@ -223,48 +235,8 @@ def obstruction_generators(spec):
     """
     if spec.family != CLASSIFIED:
         raise RepSpecError("obstruction generators apply to the classified family")
-    d = spec.dim
-    lam = {i: spec.eigenvalues[i - 1] for i in range(1, d + 1)}
-    out = []
-    if d == 2:
-        out.append(Obstruction(
-            "l1^2-l1*l2+l2^2", [1, 2],
-            lam[1] ** 2 - lam[1] * lam[2] + lam[2] ** 2,
-        ))
-        return out
-    if d == 3:
-        for i in range(1, 4):
-            r, s = sorted({1, 2, 3} - {i})
-            out.append(Obstruction(
-                "l%d^2+l%d*l%d" % (i, r, s), [i, r, s],
-                lam[i] ** 2 + lam[r] * lam[s],
-            ))
-        return out
-    if d == 4:
-        g2 = _root_square(spec)
-        for i in range(1, 5):
-            out.append(Obstruction(
-                "l%d^2+g^2" % i, [i], lam[i] ** 2 + g2,
-            ))
-        for i, j, r, s in ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3)):
-            out.append(Obstruction(
-                "g^2+l%d*l%d+l%d*l%d" % (i, j, r, s), [i, j, r, s],
-                g2 + lam[i] * lam[j] + lam[r] * lam[s],
-            ))
-        return out
-    g = spec.root_param
-    g2 = _root_square(spec)
-    for i in range(1, 6):
-        out.append(Obstruction(
-            "g^2+g*l%d+l%d^2" % (i, i), [i],
-            g2 + g * lam[i] + lam[i] ** 2,
-        ))
-    for i, j in combinations(range(1, 6), 2):
-        out.append(Obstruction(
-            "g^2+l%d*l%d" % (i, j), [i, j],
-            g2 + lam[i] * lam[j],
-        ))
-    return out
+    g2 = _root_square(spec) if spec.dim >= 4 else None
+    return _factors(spec.dim, spec.eigenvalues, spec.root_param, g2)
 
 
 class ClassificationReport:

@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 
 from .classify import burnside_oracle, deligne_check, is_simple, q_scalars, sl2z_flags
@@ -51,6 +52,13 @@ class CLIError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a lone "-..." that names no option is a value, so a negative
+        # scalar such as -3/4 or -z stands as its own argument; argparse's
+        # own pattern takes only decimal numbers
+        self._negative_number_matcher = re.compile(r"^-[^-]")
+
     # argparse exits 2 on usage errors; 2 is reserved for failed
     # mathematical checks, so usage problems are remapped to 1
     def error(self, message):

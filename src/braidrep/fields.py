@@ -43,18 +43,6 @@ class ZeroDivisorError(ZeroDivisionError, ValueError):
 _NO_VARS = VarContext(())
 
 
-def square_and_multiply(base, k, one):
-    """one * base**k for an integer k >= 0 by square-and-multiply."""
-    result = one
-    while k:
-        if k & 1:
-            result = result * base
-        if k > 1:
-            base = base * base
-        k >>= 1
-    return result
-
-
 def poly_mul(a, b, zero):
     """Schoolbook product of two ascending coefficient sequences."""
     out = [zero] * (len(a) + len(b) - 1)
@@ -175,7 +163,18 @@ class Scalar:
             raise ValueError("scalar powers must be integers")
         if k < 0:
             return self.inv() ** (-k)
-        return square_and_multiply(self, k, self.field.one)
+        if k == 0:
+            return self.field.one
+        # binary powering from the lowest bit: (bit length - 1) squarings
+        # and (popcount - 1) products, none by one
+        base, result = self, None
+        while True:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if not k:
+                return result
+            base = base * base
 
     def is_zero(self):
         return self.field._is_zero(self.value)
@@ -400,13 +399,10 @@ class NumberField(Field):
 
     def _from_poly(self, p):
         """The element of a polynomial in the generator, each term c*gen^e
-        reduced by square-and-multiply, so a huge e costs log(e) products."""
+        reduced by binary powering, so a huge e costs log(e) products."""
         _refuse_negative_powers(p)
         gen = self.gen
-        return sum(
-            (square_and_multiply(gen, e, self.const(c)) for (e,), c in p.terms.items()),
-            self.zero,
-        )
+        return sum((self.const(c) * gen ** e for (e,), c in p.terms.items()), self.zero)
 
     def modulus_render(self):
         return self._render(self.modulus)

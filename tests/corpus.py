@@ -64,6 +64,14 @@ Q_SPECS = tuple(
     )
 )
 
+# negative values given as arguments of their own, not joined by "="
+LONE_NEGATIVES = (
+    ["--eig", "1/2", "--eig", "2/3", "--eig", "3/4", "--eig", "9", "--D", "-1/3"],
+    ["--eig", "1/3", "--eig", "2", "--eig", "3/4", "--eig", "-1/5", "--eig", "5/16",
+     "--gamma", "-1/2"],
+    ["--modulus", "z^2+1", "--eig", "-z", "--eig", "3"],
+)
+
 USAGE = (
     [],
     ["classify"],
@@ -118,6 +126,10 @@ def commands():
             yield ["classify", *spec, "--oracle", "burnside", "--membership",
                    "--certificate", "--format", fmt], None, False
         yield ["qpoly", *spec, "--r", "2", "--s", "1"], None, False
+    for spec in LONE_NEGATIVES:
+        yield ["qpoly", *spec], None, False
+        yield ["classify", *spec, "--oracle", "burnside", "--membership",
+               "--certificate"], None, False
     for pair in PAIRS:
         for check in ("all", "braid"):
             for broken in (False, True):

@@ -431,6 +431,27 @@ def test_each_obstruction_generator_zeros_exactly_its_pair_scalars():
         assert zero, label
 
 
+def test_factor_table_gives_every_pair_its_share():
+    # each Q_rs takes 2^(d-2) factors of degree 2, hence the S^(2^(d-1))
+    # denominator over Q; Q_rs = Q_sr; and every factor lies in some Q_rs,
+    # so the obstruction list and the Q scalars share one zero locus
+    for d in (2, 3, 4, 5):
+        spec = symbolic_classified_spec(d)
+        table = obstruction_generators(spec)
+        ordered = [(r, s) for r in range(1, d + 1) for s in range(1, d + 1) if r != s]
+        taken = {
+            (r, s): [o for o in table if (r in o.side) != (s in o.side)] for r, s in ordered
+        }
+        for pair, factors in taken.items():
+            assert len(factors) == 2 ** (d - 2), (d, pair)
+            assert factors == [o for o in table if in_closed_form(o, *pair)], (d, pair)
+        assert {o.label for factors in taken.values() for o in factors} == {
+            o.label for o in table
+        }
+        q = q_scalars(spec, ordered)
+        assert all(q[r, s] == q[s, r] for r, s in ordered), d
+
+
 def test_is_simple_cross_check_sees_a_dropped_generator(monkeypatch):
     spec = degenerate_classified_spec(5, random.Random(31), bound=5)
     real = classify.obstruction_generators

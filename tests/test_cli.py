@@ -655,6 +655,29 @@ def test_unknown_subcommand_exits_one(capsys):
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--eig", "1/2", "--eig", "-3/4"],
+    ["--modulus", "z^2+1", "--eig", "-z", "--eig", "3"],
+    ["--eig", "1/2", "--eig", "2/3", "--eig", "3/4", "--eig", "9", "--D", "-1/3"],
+    ["--eig", "1/3", "--eig", "2", "--eig", "3/4", "--eig", "-1/5", "--eig", "5/16",
+     "--gamma", "-1/2"],
+])
+def test_negative_values_stand_as_arguments_of_their_own(capsys, argv):
+    # argparse takes a lone "-3/4" or "-z" for an option unless the parser
+    # reads every "-..." that names no option as a value
+    joined = []
+    for option, value in zip(argv[::2], argv[1::2]):
+        joined += [option + "=" + value] if value.startswith("-") else [option, value]
+    for command, extra in (("classify", ["--report-only"]), ("qpoly", [])):
+        separate = run_cli(capsys, [command, *argv, *extra])
+        assert separate == run_cli(capsys, [command, *joined, *extra])
+        assert separate[0] == 0
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: braidrep classify")
+
+
 def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "braidrep", "construct", "--dim", "2",

@@ -16,6 +16,7 @@ from braidrep.fields import (
     NumberField,
     ParseError,
     RationalField,
+    Scalar,
     SymbolicField,
     VarContext,
     ZeroDivisorError,
@@ -59,6 +60,33 @@ def test_field_axioms_random_triples(field):
         assert a ** 3 == a * a * a
         if not a.is_zero():
             assert a ** -2 * a ** 2 == one
+
+
+@pytest.mark.parametrize("field", backend_fixtures(), ids=lambda f: type(f).__name__)
+def test_powers_equal_repeated_products(field):
+    x = random_nonzero_scalar(field, random.Random(41))
+    inverse = x.inv()
+    for k in range(-6, 20):
+        expected = field.one
+        for _ in range(abs(k)):
+            expected = expected * (x if k > 0 else inverse)
+        assert x ** k == expected, k
+
+
+def test_powers_take_no_product_by_one(monkeypatch):
+    products = []
+    real = Scalar.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    x = RationalField().const(Fraction(3, 2))
+    for k, count in ((0, 0), (1, 0), (2, 1), (4, 2), (5, 3), (8, 3)):
+        products.clear()
+        assert (x ** k).value == Fraction(3, 2) ** k
+        assert len(products) == count, k
 
 
 @pytest.mark.parametrize("field", backend_fixtures(), ids=lambda f: type(f).__name__)
