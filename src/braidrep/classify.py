@@ -148,7 +148,8 @@ def q_scalars(spec, pairs):
             raise ValueError("indices must be distinct and within 1..%d" % d)
     lam, g = spec.eigenvalues, spec.root_param
     g2 = _root_square(spec) if d >= 4 else None
-    lead = -1 if d == 2 else 1 if d == 3 else -(g2.inv()) if d == 4 else g2 ** -4
+    one = spec.field.one
+    lead = -one if d == 2 else one if d == 3 else -(g2.inv()) if d == 4 else g2 ** -4
     rational = isinstance(spec.field, RationalField)
     if rational:
         scale, lam, g, g2 = _cleared(spec)
@@ -158,17 +159,13 @@ def q_scalars(spec, pairs):
         first, *rest = (f.value for f in table if (r in f.side) != (s in f.side))
         products[r, s] = math.prod(rest, start=first)
     if rational:
-        lead = Fraction(lead if d <= 3 else lead.value)
+        lead = lead.value
         den = lead.denominator * scale ** (2 ** (d - 1))
         return {
             pair: Scalar(spec.field, Fraction(lead.numerator * p, den))
             for pair, p in products.items()
         }
-    # below dimension 4 the lead is a sign, not a product
-    return {
-        pair: lead * p if d >= 4 else p if lead == 1 else -p
-        for pair, p in products.items()
-    }
+    return {pair: lead * p for pair, p in products.items()}
 
 
 def q_from_spec(spec, r, s):

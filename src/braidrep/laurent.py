@@ -2,19 +2,21 @@
 set of variable names, and the parser of the polynomial grammar that every
 scalar backend of braidrep.fields reads.
 
-A Laurent product takes one of three routes, chosen by input size alone.  A
-single-term operand shifts and scales the other.  With n1*n2 term pairs at
-least DENSE_MIN_PAIRS, an exponent box of at most n1*n2 cells and slots of
-at most 8 bytes, kronecker_mul packs each operand into one int and lets a
-single int product form every coefficient (Kronecker substitution); the box
-lies on the exponent lattice, a cell per (e - low) / step with the step the
-gcd of both operands' offsets per variable, and memoryview.cast reads the
-product's slots so that only nonzero cells become terms.  Every other
-product, and the tests' reference for the dense one, is sparse_mul, the
-term-pair loop.  Products
-and sums of int coefficients stay ints and a negation keeps each coefficient's
-type, so these and exact divisions by a term go through one trusted
-constructor that skips the normalizing pass.
+A Laurent product takes one of three routes, chosen by input size and by
+one reading of its operands' coefficient types.  A single-term operand
+shifts and scales the other.  With int coefficients only, n1*n2 term pairs
+at least DENSE_MIN_PAIRS, an exponent box of at most n1*n2 cells and slots
+of at most 8 bytes, kronecker_mul packs each operand into one int and lets
+a single int product form every coefficient (Kronecker substitution); the
+box lies on the exponent lattice, a cell per (e - low) / step with the step
+the gcd of both operands' offsets per variable, and memoryview.cast reads
+the product's slots so that only nonzero cells become terms.  Every other
+product, a product with a Fraction coefficient among them, and the tests'
+reference for the dense one, is sparse_mul, the term-pair loop.  Products
+and sums of int coefficients stay ints and a negation keeps each
+coefficient's type, so these and exact divisions by a term go through one
+trusted constructor that skips the normalizing pass; the same reading of
+the operands that gates the dense route picks the constructor.
 
 The reader takes the longest run of tokens from a string's start in one
 regex match, and only blanks may follow; a term's sign is the parity of the
@@ -84,13 +86,13 @@ class LaurentPolynomial:
         out.context, out.terms = context, terms
         return out
 
-    def _formed(self, terms, a, b):
-        """A polynomial on the nonzero terms of a sum or product of the terms
-        a and b: trusted when every coefficient of a and b is an int, as the
+    def _formed(self, terms, integral):
+        """A polynomial on the nonzero terms of a sum or product: trusted when
+        integral, that is when every operand coefficient is an int, as the
         sums and products of ints are, else normalized."""
-        if Fraction in map(type, a.values()) or Fraction in map(type, b.values()):
-            return LaurentPolynomial(self.context, terms)
-        return LaurentPolynomial._trusted(self.context, terms)
+        if integral:
+            return LaurentPolynomial._trusted(self.context, terms)
+        return LaurentPolynomial(self.context, terms)
 
     @classmethod
     def const(cls, context, value):
@@ -114,14 +116,16 @@ class LaurentPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        a, b = self.terms, other.terms
+        out = dict(a)
+        for m, c in b.items():
             s = out.get(m, 0) + c
             if s == 0:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return self._formed(out, self.terms, other.terms)
+        return self._formed(
+            out, Fraction not in map(type, a.values()) and Fraction not in map(type, b.values()))
 
     def __neg__(self):
         # a negated coefficient stays nonzero, and integral exactly when it was
@@ -131,6 +135,7 @@ class LaurentPolynomial:
     def __mul__(self, other):
         self._check(other)
         a, b = self.terms, other.terms
+        integral = Fraction not in map(type, a.values()) and Fraction not in map(type, b.values())
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:
@@ -139,11 +144,11 @@ class LaurentPolynomial:
             out = dict(zip(_shifted(b, mono), map(mul, b.values(), repeat(coeff))))
         else:
             pairs = len(a) * len(b)
-            # the cheap length test first: small products never size a box
-            out = kronecker_mul(a, b, pairs) if pairs >= DENSE_MIN_PAIRS else None
+            # the cheap tests first: small or rational products never size a box
+            out = kronecker_mul(a, b, pairs) if integral and pairs >= DENSE_MIN_PAIRS else None
             if out is None:
                 out = sparse_mul(a, b)
-        return self._formed(out, a, b)
+        return self._formed(out, integral)
 
     def divide_by_term(self, coeff, mono):
         """self / (coeff * x^mono) in one pass over the terms: exact int //
@@ -235,21 +240,22 @@ def _shifted(terms, mono):
 
 
 def kronecker_mul(a, b, max_cells):
-    """Product of two {exponent tuple: coefficient} dicts by Kronecker
+    """Product of two {exponent tuple: int coefficient} dicts by Kronecker
     substitution, or None when the product's exponent box has more than
-    max_cells cells or a slot would need more than 8 bytes.
+    max_cells cells or a slot would need more than 8 bytes.  It takes int
+    coefficients only: a product with a Fraction coefficient runs
+    sparse_mul.
 
     The box lies on the exponent lattice: per variable, the step is the gcd
     of both operands' exponent offsets from their lowest exponents, a cell
     index is (e - low) / step, and the box spans the sum of the operands'
-    index ranges.  Each operand, scaled to integers by the lcm of its
-    denominators, becomes one int with a slot per box cell, so one int
-    product forms every coefficient at once.  A slot sums at most
-    min(n1, n2) term products, and its width leaves a bit above the largest
-    such sum: adding 2^(k-1) to every k-bit slot makes each one nonnegative,
-    so no slot borrows from the next, and flipping that bit back leaves each
-    coefficient in k-bit two's complement.  A slot of 1, 2, 4 or 8 bytes is
-    read by memoryview.cast.
+    index ranges.  Each operand becomes one int with a slot per box cell,
+    so one int product forms every coefficient at once.  A slot sums at
+    most min(n1, n2) term products, and its width leaves a bit above the
+    largest such sum: adding 2^(k-1) to every k-bit slot makes each one
+    nonnegative, so no slot borrows from the next, and flipping that bit
+    back leaves each coefficient in k-bit two's complement.  A slot of 1,
+    2, 4 or 8 bytes is read by memoryview.cast.
     """
     if not a or not b:
         return {}
@@ -262,8 +268,8 @@ def kronecker_mul(a, b, max_cells):
     cells = prod(sizes)
     if cells > max_cells:
         return None
-    ints_a, scale_a = _cell_integers(a, cols_a, lows_a, steps, sizes)
-    ints_b, scale_b = _cell_integers(b, cols_b, lows_b, steps, sizes)
+    ints_a = _cell_integers(a, cols_a, lows_a, steps, sizes)
+    ints_b = _cell_integers(b, cols_b, lows_b, steps, sizes)
     bound = (max(map(abs, ints_a.values())) * max(map(abs, ints_b.values()))
              * min(len(a), len(b)))
     width = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
@@ -278,31 +284,20 @@ def kronecker_mul(a, b, max_cells):
     # product() counts the last variable fastest, as the cells do
     monos = product(*(range(x + y, x + y + size * step, step)
                       for x, y, step, size in zip(lows_a, lows_b, steps, sizes)))
-    out = dict(compress(zip(monos, slots), slots))
-    den = scale_a * scale_b
-    if den != 1:
-        out = {m: Fraction(c, den) for m, c in out.items()}
-    return out
+    return dict(compress(zip(monos, slots), slots))
 
 
 _SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _cell_integers(terms, columns, lows, steps, sizes):
-    """({box cell: integer coefficient}, scale) for terms times scale, the lcm
-    of their denominators; columns holds the terms' exponents one variable at
-    a time, and a cell counts the last variable fastest."""
+    """{box cell: int coefficient} of terms, whose coefficients are ints;
+    columns holds the terms' exponents one variable at a time, and a cell
+    counts the last variable fastest."""
     cells = [0] * len(terms)
     for column, lo, step, size in zip(columns, lows, steps, sizes):
-        if step == 1:
-            cells = [cell * size + e - lo for cell, e in zip(cells, column)]
-        else:
-            cells = [cell * size + (e - lo) // step for cell, e in zip(cells, column)]
-    coeffs = terms.values()
-    scale = lcm(*(c.denominator for c in coeffs))
-    if scale != 1:
-        coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
-    return dict(zip(cells, coeffs)), scale
+        cells = [cell * size + (e - lo) // step for cell, e in zip(cells, column)]
+    return dict(zip(cells, terms.values()))
 
 
 def _pack(ints, width, cells):

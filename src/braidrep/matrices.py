@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 import operator
 
@@ -165,12 +166,7 @@ def _refuse_foreign(field, values):
 
 def dot(row, col):
     """Sum of the entrywise products of two equal-length Scalar sequences."""
-    it = iter(zip(row, col))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
+    return reduce(operator.add, map(operator.mul, row, col))
 
 
 def vec(matrix):

@@ -410,18 +410,23 @@ def rep_to_json_dict(rep):
 
 
 def rep_from_json_dict(data):
-    """The Rep of a decoded JSON object.  Refused with a ValueError that names
-    the field: a missing family, dim, eigenvalues, A or B; a dim that is not
-    a JSON integer; a non-list where a list belongs (variables, eigenvalues,
-    A, B or a matrix row); a non-string variable, modulus, eigenvalue,
-    root_param or matrix entry."""
+    """The Rep of a decoded JSON object.  An absent or null variables means
+    none, and an absent, null or empty modulus means Q.  Refused with a
+    ValueError that names the field: a missing family, dim, eigenvalues, A
+    or B; a dim that is not a JSON integer; a non-list where a list belongs
+    (variables, eigenvalues, A, B or a matrix row); a non-string variable,
+    modulus, eigenvalue, root_param or matrix entry; a modulus beside a
+    non-empty variables."""
     if not isinstance(data, dict):
         raise ValueError("the top level must be an object")
     for key in ("family", "dim", "eigenvalues", "A", "B"):
         if key not in data:
             raise ValueError("missing field %r" % key)
-    variables = _listed(data.get("variables") or [], "variables")
+    variables = data.get("variables")
+    variables = [] if variables is None else _listed(variables, "variables")
     modulus = data.get("modulus")
+    if variables and modulus not in (None, ""):
+        raise ValueError("modulus must be empty when variables are given")
     if variables:
         field = SymbolicField(VarContext(tuple(_text(v, "a variable") for v in variables)))
     elif modulus not in (None, ""):

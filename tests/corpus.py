@@ -72,6 +72,18 @@ LONE_NEGATIVES = (
     ["--modulus", "z^2+1", "--eig", "-z", "--eig", "3"],
 )
 
+# commands whose Burnside oracle runs the word-span fallback
+# (classify.word_span_oracle, where norton_orbits returns None), which no
+# other command reaches
+WORD_SPAN = (
+    ["scan", "--dim", "4", "--count", "30", "--seed", "3", "--bound", "1",
+     "--kind", "degenerate", "--oracle", "burnside"],
+    ["scan", "--dim", "5", "--count", "20", "--seed", "1", "--bound", "1",
+     "--kind", "central", "--oracle", "burnside"],
+    ["classify", "--eig", "1", "--eig", "1", "--eig", "1", "--eig", "1", "--D=-1",
+     "--oracle", "burnside"],
+)
+
 USAGE = (
     [],
     ["classify"],
@@ -135,7 +147,7 @@ def commands():
             for broken in (False, True):
                 yield ["verify", "--check", check], ["construct", *pair], broken
         yield ["construct", *pair, "--format", "text"], None, False
-    for argv in USAGE:
+    for argv in WORD_SPAN + USAGE:
         yield argv, None, False
 
 

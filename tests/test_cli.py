@@ -289,12 +289,24 @@ PAIR_A_B = {
     (json.dumps({**PAIR_1_2, "dim": True}), "dim must be an integer"),
     (json.dumps({**PAIR_1_2, "dim": [2]}), "dim must be an integer"),
     (json.dumps({**PAIR_1_2, "dim": 2.0}), "dim must be an integer"),
+    # a falsy non-list once passed as "no variables"
+    (json.dumps({**PAIR_1_2, "variables": False}), "variables must be a list"),
+    (json.dumps({**PAIR_1_2, "variables": 0}), "variables must be a list"),
+    (json.dumps({**PAIR_1_2, "variables": {}}), "variables must be a list"),
+    (json.dumps({**PAIR_1_2, "variables": ""}), "variables must be a list"),
+    # a modulus beside variables was once ignored, and this verified over
+    # the free variable z
+    (json.dumps({**PAIR_1_2, "variables": ["z"], "modulus": "z^2+1", "eigenvalues": ["z", "1"],
+                 "A": [["z", "z"], ["0", "1"]], "B": [["1", "0"], ["-1", "z"]]}),
+     "modulus must be empty when variables are given"),
 ] + [
     (json.dumps({k: v for k, v in PAIR_1_2.items() if k != key}), "missing field %r" % key)
     for key in ("family", "dim", "eigenvalues", "A", "B")
 ], ids=["list", "string", "number", "eigenvalues", "variables", "A-rows", "B-row",
         "A-object", "eigenvalue-number", "root-list", "A-numbers", "B-number",
-        "modulus-number", "dim-string", "dim-bool", "dim-list", "dim-float", "no-family", "no-dim", "no-eigenvalues", "no-A", "no-B"])
+        "modulus-number", "dim-string", "dim-bool", "dim-list", "dim-float",
+        "variables-false", "variables-zero", "variables-object", "variables-empty-string",
+        "modulus-beside-variables", "no-family", "no-dim", "no-eigenvalues", "no-A", "no-B"])
 def test_verify_refuses_json_of_the_wrong_shape(text, named):
     result = subprocess.run(
         [sys.executable, "-m", "braidrep", "verify"], input=text,

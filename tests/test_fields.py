@@ -612,26 +612,27 @@ ANY_BOX = 10 ** 9
 
 def slot_bytes(a, b):
     """Bytes per slot, sign bit included, that kronecker_mul's bound asks
-    for: each operand scaled to integers by the lcm of its denominators,
-    the largest magnitudes multiplied, times the shorter operand's length."""
-    def largest(terms):
-        scale = lcm(*(c.denominator for c in terms.values()))
-        return max(int(abs(c) * scale) for c in terms.values())
-
-    return (largest(a) * largest(b) * min(len(a), len(b))).bit_length() // 8 + 1
+    for: the largest magnitudes multiplied, times the shorter operand's
+    length."""
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    return bound.bit_length() // 8 + 1
 
 
 def assert_products_agree(ctx, a, b, max_cells=ANY_BOX):
-    """kronecker_mul equals sparse_mul when a slot fits 8 bytes and is None
-    when it does not; the Laurent product equals sparse_mul either way.
-    Returns whether the slots were too wide for the dense route."""
+    """The Laurent product equals sparse_mul.  On int operands kronecker_mul
+    equals it too when a slot fits 8 bytes, and is None when it does not.
+    Returns whether the slots were too wide for the dense route, or None
+    when an operand has a Fraction coefficient, which kronecker_mul does
+    not take."""
     expected = sparse_mul(a, b)
+    assert (LaurentPolynomial(ctx, a) * LaurentPolynomial(ctx, b)).terms == expected
+    if Fraction in map(type, [*a.values(), *b.values()]):
+        return None
     wide = bool(a and b) and slot_bytes(a, b) > 8
     if wide:
         assert kronecker_mul(a, b, max_cells) is None
     else:
         assert kronecker_mul(a, b, max_cells) == expected
-    assert (LaurentPolynomial(ctx, a) * LaurentPolynomial(ctx, b)).terms == expected
     return wide
 
 
@@ -664,7 +665,8 @@ def test_kronecker_mul_matches_sparse_mul():
         seen.add(assert_products_agree(a.context, a.terms, b.terms))
 
     check()
-    assert seen == {False, True}
+    # wide and narrow int pairs, and pairs with a Fraction coefficient
+    assert seen == {False, True, None}
 
 
 def test_kronecker_mul_matches_sparse_mul_on_lattices():
@@ -702,7 +704,7 @@ def test_kronecker_mul_matches_sparse_mul_on_lattices():
             spans = [max(m[i] for m in t) - min(m[i] for m in t) for t in (a, b) if t]
             cells *= sum(spans) // gcd(sa, sb) + 1
         assert assert_products_agree(ctx, a, b, cells) == wide
-        seen.add("wide slots" if wide else "narrow slots")
+        seen.add({True: "wide slots", False: "narrow slots"}.get(wide, "rational"))
         for t in (a, b):
             seen.add(min(len(t), 2))
             seen.update(type(c) for c in t.values())
@@ -711,7 +713,7 @@ def test_kronecker_mul_matches_sparse_mul_on_lattices():
 
     check()
     assert seen == {0, 1, 2, int, Fraction, "negative", "steps differ",
-                    "wide slots", "narrow slots"}
+                    "wide slots", "narrow slots", "rational"}
 
 
 def record_routes(monkeypatch):
@@ -843,6 +845,24 @@ def test_laurent_mul_takes_the_dense_route_by_size(monkeypatch):
     assert routes == []
 
 
+def test_a_product_with_a_fraction_coefficient_runs_sparse_mul(monkeypatch):
+    # 16 x 16 term pairs in a 7 x 7 box would take the dense route, as the
+    # int product does; one Fraction coefficient sends it to the term-pair
+    # loop before any box is sized
+    ctx = VarContext(("x", "y"))
+    ints = grid(ctx, lambda m: m[0] - 2 * m[1] + 9, [(0, 3), (0, 3)])
+    rational = grid(ctx, lambda m: Fraction(1, 3) if m == (-1, 2) else m[0] * m[1] + 10,
+                    [(-2, 1), (0, 3)])
+    routes = record_routes(monkeypatch)
+    assert (ints * ints).terms == sparse_mul(ints.terms, ints.terms)
+    assert routes == ["dense"]
+    assert len(ints.terms) == len(rational.terms) == 16
+    for a, b in ((ints, rational), (rational, ints), (rational, rational)):
+        routes.clear()
+        assert (a * b).terms == sparse_mul(a.terms, b.terms)
+        assert routes == ["sparse"]
+
+
 def test_exceptional_route_products_agree_on_both_routes(monkeypatch):
     operands = []
     real_dense = laurent.kronecker_mul
@@ -878,7 +898,8 @@ def test_kronecker_mul_slot_widths(bits):
     # A slot of k bits holds -2^(k-1) .. 2^(k-1) - 1: a largest slot sum just
     # below 2^bits fits the narrower slot, one just above needs the next
     # width (1, 2, 4 or 8 bytes); past 2^63 kronecker_mul refuses and the
-    # Laurent product runs sparse_mul.
+    # Laurent product runs sparse_mul.  kronecker_mul does not take the
+    # same sums over a denominator, whatever their width.
     ctx = VarContext(("x", "y"))
     below = 2 ** bits // 3
     for c, side in ((below, -1), (below + 1, 1)):
@@ -889,7 +910,7 @@ def test_kronecker_mul_slot_widths(bits):
                 a = LaurentPolynomial(ctx, {m: Fraction(sign * c, den) for m in LINE}).terms
                 b = LaurentPolynomial(ctx, {m: 1 for m in LINE}).terms
                 assert sparse_mul(a, b)[(0, 0)] == Fraction(3 * sign * c, den)
-                wide = bits > 63 or (bits == 63 and side > 0)
+                wide = (bits > 63 or (bits == 63 and side > 0)) if den == 1 else None
                 assert assert_products_agree(ctx, a, b) == wide
                 assert assert_products_agree(ctx, b, a) == wide
 
