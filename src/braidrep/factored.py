@@ -14,13 +14,14 @@ associates.  So when no opaque atom is involved, two elements are equal
 exactly when their units, monomials and maps agree, and nothing is expanded.
 
 Products, inverses and powers are map arithmetic.  A sum pulls out what its
-two operands share (the lower exponent of every atom and variable), expands
-the two rests with the LaurentPolynomial product, adds them and factors the
-result.  A sum whose terms lie on a line m0 * x^j is m0 * h(x^g), g the gcd
-of the j; h is divided by every Phi_k(y) of degree at most deg h, as often
-as it divides (poly_divmod), and each Phi_k(x^g) is the product of
-Phi_kd(x) over the d | g with gcd(k, g/d) = 1.  What is left of positive
-degree, and any sum whose terms are not collinear, becomes one opaque atom.
+two operands share (the lower exponent of every atom and variable), puts the
+two units over one denominator, expands the two rests with the integer
+LaurentPolynomial product, adds them and factors the result.  A sum whose
+terms lie on a line m0 * x^j is m0 * h(x^g), g the gcd of the j; h is
+divided by every Phi_k(y) of degree at most deg h, as often as it divides
+(poly_divmod), and each Phi_k(x^g) is the product of Phi_kd(x) over the
+d | g with gcd(k, g/d) = 1.  What is left of positive degree, and any sum
+whose terms are not collinear, becomes one opaque atom.
 Equality cancels the common atoms and compares the maps when no opaque atom
 is left; otherwise it cross-multiplies what remains.
 
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .fields import Field, LaurentPolynomial, Scalar, cyclotomic, poly_divmod
+from .fields import Field, LaurentPolynomial, Scalar, cyclotomic, poly_divmod, render_terms
 
 
 class FactoredField(Field):
@@ -79,12 +80,13 @@ class FactoredField(Field):
             e = min(a[2].get(k, 0), b[2].get(k, 0))
             if e:
                 common[k] = e
-        total = (self._product(a[0], _mono_sub(a[1], mono), _merge(a[2], common, -1))
-                 + self._product(b[0], _mono_sub(b[1], mono), _merge(b[2], common, -1)))
+        den = lcm(a[0].denominator, b[0].denominator)
+        total = (self._product(int(a[0] * den), _mono_sub(a[1], mono), _merge(a[2], common, -1))
+                 + self._product(int(b[0] * den), _mono_sub(b[1], mono), _merge(b[2], common, -1)))
         if total.is_zero():
             return (0, self._mono_one, {})
         unit, rest_mono, atoms = self._factor(total.terms)
-        return (unit, _mono_add(mono, rest_mono), _merge(common, atoms, 1))
+        return (_unit(Fraction(unit, den)), _mono_add(mono, rest_mono), _merge(common, atoms, 1))
 
     def _eq(self, a, b):
         if not a[0] or not b[0]:
@@ -92,13 +94,17 @@ class FactoredField(Field):
         ratio = _merge(a[2], b[2], -1)
         if not any(k[0] == 0 for k in ratio):
             return a[0] == b[0] and a[1] == b[1] and not ratio
-        # an opaque atom may share factors with others: cross-multiply
-        return (self._product(a[0], a[1], {k: e for k, e in ratio.items() if e > 0})
-                == self._product(b[0], b[1], {k: -e for k, e in ratio.items() if e < 0}))
+        # an opaque atom may share factors with others: cross-multiply, with
+        # both units over one denominator
+        den = lcm(a[0].denominator, b[0].denominator)
+        return (self._product(int(a[0] * den), a[1], {k: e for k, e in ratio.items() if e > 0})
+                == self._product(int(b[0] * den), b[1],
+                                 {k: -e for k, e in ratio.items() if e < 0}))
 
     def _product(self, unit, mono, atoms):
-        """The LaurentPolynomial unit * monomial * prod(atom^e), every e > 0;
-        the smallest atoms are multiplied in first."""
+        """The LaurentPolynomial unit * monomial * prod(atom^e) for a nonzero
+        int unit and every e > 0; the smallest atoms are multiplied in
+        first."""
         polys = sorted(
             (self._poly(k) for k, e in atoms.items() for _ in range(e)),
             key=lambda p: len(p.terms),
@@ -120,7 +126,8 @@ class FactoredField(Field):
         return poly
 
     def _factor(self, terms):
-        """(unit, monomial, {atom: exponent}) of a nonzero {exponent: coeff} dict."""
+        """(int unit, monomial, {atom: exponent}) of a nonzero {exponent: int
+        coefficient} dict."""
         if len(terms) == 1:
             (mono, c), = terms.items()
             return c, mono, {}
@@ -132,15 +139,12 @@ class FactoredField(Field):
         g = 0
         for j in steps:
             g = gcd(g, j - lo)
-        # h is the primitive integer polynomial, so every division stays in ints:
-        # num is the gcd of the numerators, den the lcm of the denominators
-        num, den = 0, 1
-        for c in terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
+        # h is the primitive integer polynomial, so every division stays in
+        # ints: num is the gcd of the coefficients
+        num = gcd(*terms.values())
         h = [0] * ((max(steps) - lo) // g + 1)
         for j, c in zip(steps, terms.values()):
-            h[(j - lo) // g] = c * den // num
+            h[(j - lo) // g] = c // num
         atoms = {}
         for k in cyclotomic_candidates(len(h) - 1):
             phi = cyclotomic(k)
@@ -156,19 +160,17 @@ class FactoredField(Field):
                         atoms[(k * d, x)] = atoms.get((k * d, x), 0) + 1
         mono = tuple(b + lo * e for b, e in zip(base, x))
         if len(h) == 1:
-            return _unit(Fraction(h[0] * num, den)), mono, atoms
+            return h[0] * num, mono, atoms
         sign, rest_mono, opaque = self._opaque(
             {tuple(i * g * e for e in x): c for i, c in enumerate(h) if c}
         )
-        unit = _unit(Fraction(sign * num, den))
-        return unit, _mono_add(mono, rest_mono), _merge(atoms, opaque, 1)
+        return sign * num, _mono_add(mono, rest_mono), _merge(atoms, opaque, 1)
 
     def _opaque(self, terms):
-        """(unit, monomial, {opaque atom: 1}) of a nonzero {exponent: coeff}
-        dict: the unit and monomial are its Laurent content, and the atom is
-        what dividing them out leaves; the unit is +-1 when the coefficients
-        are coprime integers."""
-        poly = LaurentPolynomial._trusted(self.context, terms)
+        """(int unit, monomial, {opaque atom: 1}) of a nonzero {exponent: int
+        coefficient} dict: the unit and monomial are its Laurent content, and
+        the atom is what dividing them out leaves."""
+        poly = LaurentPolynomial(self.context, terms)
         unit, mono = poly.content()
         key = tuple(sorted(poly.divide_by_term(unit, mono).terms.items()))
         return unit, mono, {(0, key): 1}
@@ -183,7 +185,7 @@ class FactoredField(Field):
 
     def _render(self, a):
         unit, mono, atoms = a
-        head = LaurentPolynomial(self.context, {mono: unit}).render()
+        head = render_terms(self.context, {mono: unit})
         parts = [self.atom_name(k) + ("" if atoms[k] == 1 else "^%d" % atoms[k])
                  for k in sorted(atoms)]
         if not parts:

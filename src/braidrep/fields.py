@@ -2,15 +2,16 @@
 number fields Q[x]/(m), on the Laurent polynomials of braidrep.laurent.
 
 Every scalar belongs to exactly one field backend; mixing backends raises
-BackendMismatch. Rational-function pairs are reduced only by extracting monomial
-and rational content from the denominator (never a full multivariate gcd), by
-exact int // when the content is an int dividing every coefficient, and
-equality is decided by cross-multiplication. Serialization uses a fixed
-graded-lexicographic term order over the context's declared variable order, so
-rendering is deterministic and parse(render(x)) == x. All three backends parse
-with one grammar, a polynomial or '(num)/(den)' over the backend's variables
-(none for the rationals, the generator for a number field), and refuse a zero
-denominator at parse time.
+BackendMismatch. Rationals live here, as Fractions over Q and Fraction tuples
+in a number field; rational-function pairs hold integer Laurent polynomials,
+reduced only by dividing the denominator's sign and monomial content out of
+both (never a gcd), and equality is decided by cross-multiplication.
+Serialization uses a fixed graded-lexicographic term order over the
+context's declared variable order, so rendering is deterministic and
+parse(render(x)) == x. All three backends parse with one grammar, a
+polynomial or '(num)/(den)' over the backend's variables (none for the
+rationals, the generator for a number field), read as integer polynomials,
+and refuse a zero denominator at parse time.
 
 Every univariate-polynomial loop is one of three kernels on ascending
 coefficient sequences: poly_mul (schoolbook product), poly_divmod (division
@@ -32,6 +33,7 @@ from .laurent import (
     _NAME_RE,
     _parse_rf_string,
     parse_polynomial,
+    render_terms,
 )
 
 
@@ -240,7 +242,7 @@ class RationalField(Field):
     def parse(self, text):
         # over no variables every polynomial is its constant term
         num, den = _parse_rf_string(_NO_VARS, text)
-        return Scalar(self, Fraction(num.terms.get((), 0)) / den.terms[()])
+        return Scalar(self, Fraction(num.terms.get((), 0), den.terms[()]))
 
     def _key(self):
         return ()
@@ -252,9 +254,11 @@ class RationalField(Field):
 class SymbolicField(Field):
     """Fraction field of the Laurent polynomial ring over a variable context.
 
-    Elements are (num, den) pairs. Reduction divides out the denominator's sign,
-    rational content and monomial content only; a denominator that is a single
-    Laurent term therefore always normalizes to 1. Equality cross-multiplies.
+    Elements are (num, den) pairs of integer Laurent polynomials. Reduction
+    divides out the denominator's sign and monomial content only, so a
+    denominator has a positive leading coefficient and a single-term one is a
+    positive int; rendering divides out its integer content. Equality
+    cross-multiplies.
     """
 
     def __init__(self, context):
@@ -266,15 +270,18 @@ class SymbolicField(Field):
         if num.is_zero():
             return Scalar(self, (num, LaurentPolynomial.const(self.context, 1)))
         content, mono = den.content()
-        if content != 1 or any(mono):
-            num, den = num.divide_by_term(content, mono), den.divide_by_term(content, mono)
+        if content < 0 or any(mono):
+            sign = -1 if content < 0 else 1
+            num, den = num.divide_by_term(sign, mono), den.divide_by_term(sign, mono)
         return Scalar(self, (num, den))
 
     def from_poly(self, p):
         return self._pair(p, LaurentPolynomial.const(self.context, 1))
 
     def const(self, value):
-        return self.from_poly(LaurentPolynomial.const(self.context, value))
+        value = Fraction(value)
+        return Scalar(self, (LaurentPolynomial.const(self.context, value.numerator),
+                             LaurentPolynomial.const(self.context, value.denominator)))
 
     def var(self, name):
         return self.from_poly(LaurentPolynomial.var(self.context, name))
@@ -291,8 +298,7 @@ class SymbolicField(Field):
 
     def _mul(self, a, b):
         # a product of reduced denominators is reduced, so no second _pair:
-        # content is multiplicative (Gauss), grlex leading terms multiply
-        # and the lowest exponents add
+        # grlex leading terms multiply and the lowest exponents add
         num = a[0] * b[0]
         if num.is_zero():
             return (num, LaurentPolynomial.const(self.context, 1))
@@ -310,10 +316,14 @@ class SymbolicField(Field):
         return a[0] * b[1] == b[0] * a[1]
 
     def _render(self, a):
+        # the denominator's content is positive and its lowest exponents are 0
         num, den = a
-        if den.is_one():
-            return num.render()
-        return "(%s)/(%s)" % (num.render(), den.render())
+        content, mono = den.content()
+        text = num.render() if content == 1 else render_terms(
+            self.context, {m: Fraction(c, content) for m, c in num.terms.items()})
+        if len(den.terms) == 1:
+            return text
+        return "(%s)/(%s)" % (text, den.divide_by_term(content, mono).render())
 
     def parse(self, text):
         num, den = _parse_rf_string(self.context, text)
@@ -385,24 +395,27 @@ class NumberField(Field):
 
     def _render(self, a):
         """Render an ascending coefficient sequence as a polynomial in the generator."""
-        return LaurentPolynomial(self.context, {(i,): c for i, c in enumerate(a)}).render()
+        return render_terms(self.context, {(i,): c for i, c in enumerate(a) if c})
 
     def parse(self, text):
         num, den = _parse_rf_string(self.context, text)
+        if den.terms.keys() == {(0,)}:
+            # a constant denominator divides each coefficient: no inverse
+            return self._from_poly(num, den.terms[(0,)])
         value = self._from_poly(num)
-        if not den.is_one():
-            den = self._from_poly(den)
-            if den.is_zero():
-                raise ParseError("denominator is zero modulo %s" % self.modulus_render())
-            value = value / den
-        return value
+        den = self._from_poly(den)
+        if den.is_zero():
+            raise ParseError("denominator is zero modulo %s" % self.modulus_render())
+        return value / den
 
-    def _from_poly(self, p):
-        """The element of a polynomial in the generator, each term c*gen^e
-        reduced by binary powering, so a huge e costs log(e) products."""
+    def _from_poly(self, p, den=1):
+        """The element p / den of a polynomial p in the generator and an int
+        den, each term c*gen^e reduced by binary powering, so a huge e costs
+        log(e) products."""
         _refuse_negative_powers(p)
         gen = self.gen
-        return sum((self.const(c) * gen ** e for (e,), c in p.terms.items()), self.zero)
+        return sum((self.const(Fraction(c, den)) * gen ** e for (e,), c in p.terms.items()),
+                   self.zero)
 
     def modulus_render(self):
         return self._render(self.modulus)
@@ -412,24 +425,18 @@ class NumberField(Field):
         names = sorted(set(_NAME_RE.findall(text)))
         if len(names) != 1:
             raise ParseError("modulus must use exactly one variable")
-        p = parse_polynomial(VarContext((names[0],)), text)
-        return cls(_coefficients(p), gen_name=names[0])
+        p, den = parse_polynomial(VarContext((names[0],)), text)
+        _refuse_negative_powers(p)
+        coeffs = [0] * (max(p.terms, default=(0,))[0] + 1)
+        for (e,), c in p.terms.items():
+            coeffs[e] = Fraction(c, den.terms[(0,)])
+        return cls(coeffs, gen_name=names[0])
 
     def _key(self):
         return (self.modulus, self.gen_name)
 
     def __repr__(self):
         return "NumberField(%s)" % self.modulus_render()
-
-
-def _coefficients(p):
-    """Ascending coefficient list of a univariate polynomial; negative powers
-    are refused."""
-    _refuse_negative_powers(p)
-    coeffs = [Fraction(0)] * (max((e for (e,) in p.terms), default=0) + 1)
-    for (e,), c in p.terms.items():
-        coeffs[e] = c
-    return coeffs
 
 
 def _refuse_negative_powers(p):
@@ -442,13 +449,17 @@ def _splits(modulus):
 
     With z = y/L for L the common denominator, L^n m(y/L) is a monic integer
     polynomial, and by Gauss's lemma its rational factors can be taken monic
-    with integer coefficients: a linear factor is an integer root dividing the
-    constant term, and a quartic may also split as (y^2+ay+b)(y^2+cy+e) with
-    b*e the constant term, a+c = p3, b+e+ac = p2 and ae+bc = p1.
+    with integer coefficients: a quadratic splits when p1^2 - 4*p0 is a square,
+    a linear factor is an integer root dividing the constant term, and a
+    quartic may also split as (y^2+ay+b)(y^2+cy+e) with b*e the constant
+    term, a+c = p3, b+e+ac = p2 and ae+bc = p1.
     """
     n = len(modulus) - 1
     scale = lcm(*(c.denominator for c in modulus))
     p = [int(c * scale ** (n - k)) for k, c in enumerate(modulus)]
+    if n == 2:
+        disc = p[1] ** 2 - 4 * p[0]
+        return disc >= 0 and isqrt(disc) ** 2 == disc
     if p[0] == 0:
         return True
     # each divisor pair (b, e) of the constant term, up to order

@@ -1,22 +1,25 @@
-"""Multivariate Laurent polynomials with rational coefficients over an ordered
+"""Multivariate Laurent polynomials with integer coefficients over an ordered
 set of variable names, and the parser of the polynomial grammar that every
 scalar backend of braidrep.fields reads.
 
-A Laurent product takes one of three routes, chosen by input size and by
-one reading of its operands' coefficient types.  A single-term operand
-shifts and scales the other.  With int coefficients only, n1*n2 term pairs
-at least DENSE_MIN_PAIRS, an exponent box of at most n1*n2 cells and slots
-of at most 8 bytes, kronecker_mul packs each operand into one int and lets
-a single int product form every coefficient (Kronecker substitution); the
-box lies on the exponent lattice, a cell per (e - low) / step with the step
-the gcd of both operands' offsets per variable, and memoryview.cast reads
-the product's slots so that only nonzero cells become terms.  Every other
-product, a product with a Fraction coefficient among them, and the tests'
-reference for the dense one, is sparse_mul, the term-pair loop.  Products
-and sums of int coefficients stay ints and a negation keeps each
-coefficient's type, so these and exact divisions by a term go through one
-trusted constructor that skips the normalizing pass; the same reading of
-the operands that gates the dense route picks the constructor.
+Every coefficient is a nonzero int, and the one constructor trusts its
+terms: sums, products, negations and exact divisions by a term of integer
+polynomials are integer polynomials, so nothing is normalized after them.
+Rationals stay in the scalar backends; they cross into this module only
+through the reader, which returns integer polynomials whose quotient is the
+value read, and through render_terms, which prints a rational coefficient
+that a backend hands it.
+
+A Laurent product takes one of three routes, chosen by input size.  A
+single-term operand shifts and scales the other.  With n1*n2 term pairs at
+least DENSE_MIN_PAIRS, an exponent box of at most n1*n2 cells and slots of
+at most 8 bytes, kronecker_mul packs each operand into one int and lets a
+single int product form every coefficient (Kronecker substitution); the box
+lies on the exponent lattice, a cell per (e - low) / step with the step the
+gcd of both operands' offsets per variable, and memoryview.cast reads the
+product's slots so that only nonzero cells become terms.  Every other
+product, and the tests' reference for the dense one, is sparse_mul, the
+term-pair loop.
 
 The reader takes the longest run of tokens from a string's start in one
 regex match, and only blanks may follow; a term's sign is the parity of the
@@ -28,7 +31,7 @@ context's names) and NumberField.from_modulus_string match with it.
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import gcd, lcm, prod
-from operator import add, floordiv, getitem, mod, mul, neg, sub
+from operator import add, floordiv, getitem, mul, neg, sub
 import re
 import sys
 
@@ -67,48 +70,27 @@ class VarContext(tuple):
 
 
 class LaurentPolynomial:
-    """Sparse Laurent polynomial: {exponent tuple: nonzero coefficient}, an
-    integral coefficient stored as an int and any other as a Fraction."""
+    """Sparse Laurent polynomial over Z: {exponent tuple: nonzero int
+    coefficient}.  The constructor trusts its terms."""
 
     __slots__ = ("context", "terms")
 
     def __init__(self, context, terms):
         self.context = context
-        self.terms = {
-            m: c.numerator if c.denominator == 1 else c for m, c in terms.items() if c != 0
-        }
-
-    @classmethod
-    def _trusted(cls, context, terms):
-        """A polynomial on terms that are already normalized: nonzero, and an
-        int exactly when integral."""
-        out = cls.__new__(cls)
-        out.context, out.terms = context, terms
-        return out
-
-    def _formed(self, terms, integral):
-        """A polynomial on the nonzero terms of a sum or product: trusted when
-        integral, that is when every operand coefficient is an int, as the
-        sums and products of ints are, else normalized."""
-        if integral:
-            return LaurentPolynomial._trusted(self.context, terms)
-        return LaurentPolynomial(self.context, terms)
+        self.terms = terms
 
     @classmethod
     def const(cls, context, value):
-        return cls(context, {(0,) * len(context): Fraction(value)})
+        return cls(context, {(0,) * len(context): value} if value else {})
 
     @classmethod
     def var(cls, context, name):
         mono = [0] * len(context)
         mono[context.index(name)] = 1
-        return cls(context, {tuple(mono): Fraction(1)})
+        return cls(context, {tuple(mono): 1})
 
     def is_zero(self):
         return not self.terms
-
-    def is_one(self):
-        return self.terms == {(0,) * len(self.context): Fraction(1)}
 
     def _check(self, other):
         if self.context != other.context:
@@ -116,26 +98,22 @@ class LaurentPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        a, b = self.terms, other.terms
-        out = dict(a)
-        for m, c in b.items():
+        out = dict(self.terms)
+        for m, c in other.terms.items():
             s = out.get(m, 0) + c
             if s == 0:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return self._formed(
-            out, Fraction not in map(type, a.values()) and Fraction not in map(type, b.values()))
+        return LaurentPolynomial(self.context, out)
 
     def __neg__(self):
-        # a negated coefficient stays nonzero, and integral exactly when it was
         terms = self.terms
-        return LaurentPolynomial._trusted(self.context, dict(zip(terms, map(neg, terms.values()))))
+        return LaurentPolynomial(self.context, dict(zip(terms, map(neg, terms.values()))))
 
     def __mul__(self, other):
         self._check(other)
         a, b = self.terms, other.terms
-        integral = Fraction not in map(type, a.values()) and Fraction not in map(type, b.values())
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:
@@ -144,46 +122,31 @@ class LaurentPolynomial:
             out = dict(zip(_shifted(b, mono), map(mul, b.values(), repeat(coeff))))
         else:
             pairs = len(a) * len(b)
-            # the cheap tests first: small or rational products never size a box
-            out = kronecker_mul(a, b, pairs) if integral and pairs >= DENSE_MIN_PAIRS else None
+            # the cheap test first: small products never size a box
+            out = kronecker_mul(a, b, pairs) if pairs >= DENSE_MIN_PAIRS else None
             if out is None:
                 out = sparse_mul(a, b)
-        return self._formed(out, integral)
+        return LaurentPolynomial(self.context, out)
 
     def divide_by_term(self, coeff, mono):
-        """self / (coeff * x^mono) in one pass over the terms: exact int //
-        when coeff is an int dividing every coefficient, else Fractions."""
+        """self / (coeff * x^mono) for an int coeff that divides every
+        coefficient, in one pass over the terms."""
         terms = self.terms
-        keys = _shifted(terms, tuple(map(neg, mono)))
-        if type(coeff) is int and not any(map(mod, terms.values(), repeat(coeff))):
-            # nonzero ints need no normalizing
-            return LaurentPolynomial._trusted(
-                self.context, dict(zip(keys, map(floordiv, terms.values(), repeat(coeff)))))
-        return LaurentPolynomial(
-            self.context, dict(zip(keys, map(mul, terms.values(), repeat(Fraction(1, coeff))))))
-
-    def sorted_terms(self):
-        # graded-lex: total degree, then the exponent tuple; the keys are distinct
-        terms = self.terms
-        return [(m, c) for _, m, c in sorted(zip(map(sum, terms), terms, terms.values()),
-                                             reverse=True)]
+        return LaurentPolynomial(self.context, dict(zip(
+            _shifted(terms, tuple(map(neg, mono))), map(floordiv, terms.values(), repeat(coeff)))))
 
     def leading_coeff(self):
         """The graded-lex leading coefficient of a nonzero polynomial."""
         return self.terms[max(zip(map(sum, self.terms), self.terms))[1]]
 
     def content(self):
-        """(signed content, monomial content): sign of the leading coefficient times
-        gcd(numerators)/lcm(denominators), an int when every coefficient is an
-        int, and the per-variable minimum exponents."""
+        """(signed content, monomial content): the gcd of the coefficients
+        with the sign of the leading one, and the per-variable minimum
+        exponents."""
         coeffs = self.terms.values()
         if not coeffs:
             return 1, (0,) * len(self.context)
-        try:
-            content = gcd(*coeffs)  # math.gcd refuses a Fraction
-        except TypeError:
-            content = Fraction(gcd(*(c.numerator for c in coeffs)),
-                               lcm(*(c.denominator for c in coeffs)))
+        content = gcd(*coeffs)
         if self.leading_coeff() < 0:
             content = -content
         return content, tuple(map(min, zip(*self.terms)))
@@ -194,26 +157,34 @@ class LaurentPolynomial:
         return self.context == other.context and self.terms == other.terms
 
     def render(self):
-        if not self.terms:
-            return "0"
-        # per variable, the factor "*name^e" of each exponent that occurs,
-        # formatted once ("" for e = 0)
-        powers = [{e: "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}"
-                   for e in set(column)}
-                  for name, column in zip(self.context, zip(*self.terms))]
-        out = []
-        for mono, coeff in self.sorted_terms():
-            factors = "".join(map(getitem, powers, mono))
-            if factors and abs(coeff) == 1:
-                out.append(("+" if coeff > 0 else "-") + factors[1:])
-            else:
-                # an int or a Fraction formats as its plain decimal form
-                out.append(f"+{coeff}{factors}" if coeff > 0 else f"{coeff}{factors}")
-        text = "".join(out)
-        return text[1:] if text[0] == "+" else text
+        return render_terms(self.context, self.terms)
 
     def __repr__(self):
         return "LaurentPolynomial(%s)" % self.render()
+
+
+def render_terms(context, terms):
+    """The text of {exponent tuple: nonzero coefficient} over context, each
+    coefficient an int or a Fraction, in graded-lex order: total degree,
+    then the exponent tuple, highest first."""
+    if not terms:
+        return "0"
+    # per variable, the factor "*name^e" of each exponent that occurs,
+    # formatted once ("" for e = 0)
+    powers = [{e: "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}"
+               for e in set(column)}
+              for name, column in zip(context, zip(*terms))]
+    out = []
+    # the keys are distinct, so the sort never compares coefficients
+    for _, mono, coeff in sorted(zip(map(sum, terms), terms, terms.values()), reverse=True):
+        factors = "".join(map(getitem, powers, mono))
+        if factors and abs(coeff) == 1:
+            out.append(("+" if coeff > 0 else "-") + factors[1:])
+        else:
+            # an int or a Fraction formats as its plain decimal form
+            out.append(f"+{coeff}{factors}" if coeff > 0 else f"{coeff}{factors}")
+    text = "".join(out)
+    return text[1:] if text[0] == "+" else text
 
 
 # fewest term pairs n1*n2 for which a Laurent product tries the dense route
@@ -242,9 +213,7 @@ def _shifted(terms, mono):
 def kronecker_mul(a, b, max_cells):
     """Product of two {exponent tuple: int coefficient} dicts by Kronecker
     substitution, or None when the product's exponent box has more than
-    max_cells cells or a slot would need more than 8 bytes.  It takes int
-    coefficients only: a product with a Fraction coefficient runs
-    sparse_mul.
+    max_cells cells or a slot would need more than 8 bytes.
 
     The box lies on the exponent lattice: per variable, the step is the gcd
     of both operands' exponent offsets from their lowest exponents, a cell
@@ -329,7 +298,8 @@ def _tokenize(text):
 
 
 def _parse_rf_string(context, text):
-    """Parse '(num)/(den)' or a bare polynomial; returns (num, den) polynomials."""
+    """Parse '(num)/(den)' or a bare polynomial; returns integer (num, den)
+    polynomials whose quotient is the value read."""
     tokens = _tokenize(text)
     if tokens[:1] == ["("]:
         close = _closing(tokens, 0)
@@ -341,13 +311,12 @@ def _parse_rf_string(context, text):
                 raise ParseError("unbalanced parentheses in denominator")
             if end + 1 < len(tokens):
                 raise ParseError("unexpected %r after the denominator" % tokens[end + 1])
-            num = _parse_poly_tokens(context, tokens[1:close])
-            den = _parse_poly_tokens(context, tokens[close + 3:end])
+            num, num_den = _parse_poly_tokens(context, tokens[1:close])
+            den, den_den = _parse_poly_tokens(context, tokens[close + 3:end])
             if den.is_zero():
                 raise ParseError("zero denominator")
-            return num, den
-    num = _parse_poly_tokens(context, tokens)
-    return num, LaurentPolynomial.const(context, 1)
+            return num * den_den, den * num_den
+    return _parse_poly_tokens(context, tokens)
 
 
 def _closing(tokens, start):
@@ -365,10 +334,12 @@ def parse_polynomial(context, text):
 
 
 def _parse_poly_tokens(context, tokens):
-    """Sum of the terms, each signed by the parity of the '-' run before it."""
+    """(p, den) with p / den the sum of the terms, each signed by the parity
+    of the '-' run before it: p is an integer polynomial and den the
+    constant polynomial of the least positive int that clears the sum."""
     if not tokens:
         raise ParseError("empty polynomial")
-    total = LaurentPolynomial.const(context, 0)
+    total = {}
     i = 0
     while i < len(tokens):
         start = i
@@ -376,14 +347,20 @@ def _parse_poly_tokens(context, tokens):
             i += 1
         if i == start > 0:
             raise ParseError("expected '+' or '-' between terms")
-        term, end = _parse_term(context, tokens, i)
-        total = total + (-term if tokens[start:i].count("-") % 2 else term)
+        mono, coeff, end = _parse_term(context, tokens, i)
+        if tokens[start:i].count("-") % 2:
+            coeff = -coeff
+        total[mono] = total.get(mono, 0) + coeff
         i = end
-    return total
+    total = {m: c for m, c in total.items() if c}
+    den = lcm(*(c.denominator for c in total.values()))
+    return (LaurentPolynomial(context, {m: int(c * den) for m, c in total.items()}),
+            LaurentPolynomial.const(context, den))
 
 
 def _parse_term(context, tokens, i):
-    """(the term at tokens[i:], the index after it): factors joined by '*'."""
+    """(exponent tuple, Fraction coefficient, the index after them) of the
+    term at tokens[i:]: factors joined by '*'."""
     if i >= len(tokens):
         raise ParseError("expected a term")
     coeff = Fraction(1)
@@ -421,4 +398,4 @@ def _parse_term(context, tokens, i):
         if name not in context:
             raise ParseError("unknown variable %r" % name)
         mono[context.index(name)] += power
-    return LaurentPolynomial(context, {tuple(mono): coeff}), i
+    return tuple(mono), coeff, i

@@ -355,7 +355,7 @@ def structure_report(rep):
         signs = []
         for s in sigmas:
             num, den = s.value
-            if not den.is_one() or len(num.terms) != 1:
+            if len(den.terms) != 1 or len(num.terms) != 1:
                 signs = None
                 break
             coeff = next(iter(num.terms.values()))

@@ -6,9 +6,9 @@ runs every command against CHECKOUT/src (default: the checkout holding this
 file) and prints one line per command: the exit code, the sha256 of stdout,
 the sha256 of stderr and the argv.  `verify` reads the JSON that the
 `construct` named on its line prints, as is or with one entry replaced by
-"1/0".  Two checkouts give the same bytes, exit codes included, on every
-command exactly when `diff` of their two outputs is empty.  The file's name
-keeps pytest from collecting it.
+"1/0", or the JSON text written on its line.  Two checkouts give the same
+bytes, exit codes included, on every command exactly when `diff` of their
+two outputs is empty.  The file's name keeps pytest from collecting it.
 """
 
 import hashlib
@@ -32,6 +32,7 @@ EIG_STRINGS = (
 MODULI = (
     "z^2+1", "z^2 + 3", "z^2+z+1", "x^3-2", "z^4+1", "z^2-1", "z^4-1",
     "z^2+1+y", "3", "2*z^2+1", "z^-1+z^2", "z^5+z^3+2*z^2+2",
+    "z^2+1/2", "z^3-1/2", "z^4+1/4",
 )
 
 # construct argv whose JSON verify reads back
@@ -47,6 +48,29 @@ PAIRS = (
     ["--modulus", "z^2+1", "--eig", "z", "--eig", "2"],
     ["--family", "binomial", "--eig", "4", "--eig", "2", "--eig", "1"],
 )
+
+
+def _symbolic_pair(variables, eigenvalues, a, b):
+    return json.dumps({"dim": 2, "family": "classified", "variables": variables,
+                       "eigenvalues": eigenvalues, "root_param": None, "A": a, "B": b})
+
+
+# conjugates of `construct --symbolic --dim 2` with rational coefficients:
+# a rational entry, rational eigenvalues, and a pair whose off-diagonal
+# entries are rational functions (sign_pattern_ok is false, exit 2)
+SYMBOLIC_PAIRS = (
+    _symbolic_pair(["l1", "l2"], ["l1", "l2"],
+                   [["l1", "1/2*l1"], ["0", "l2"]], [["l2", "0"], ["-2*l2", "l1"]]),
+    _symbolic_pair(["x", "y"], ["(x)/(2*y)", "3/4*y"],
+                   [["(x)/(2*y)", "(x)/(2*y)"], ["0", "3/4*y"]],
+                   [["3/4*y", "0"], ["-3/4*y", "(x)/(2*y)"]]),
+    _symbolic_pair(["x", "y"], ["x", "y"],
+                   [["x", "(3*x^2)/(x+2*y)"], ["0", "y"]],
+                   [["y", "0"], ["(-x*y-2*y^2)/(3*x)", "x"]]),
+)
+
+# a number field whose modulus and eigenvalue have rational coefficients
+RATIONAL_MODULUS = ["--modulus", "z^2+2/3*z+1/5", "--eig", "z", "--eig", "1/2*z+1/3"]
 
 # specs over Q with fractional eigenvalues, d = 2..5: a fractional D, a
 # negative and a fractional gamma, and a vanishing Q in each of d = 3..5
@@ -103,7 +127,8 @@ USAGE = (
 
 
 def commands():
-    """(argv, construct argv or None, whether an entry becomes "1/0") per command."""
+    """(argv, stdin source, whether an entry becomes "1/0") per command; the
+    source is a construct argv, a JSON text or None."""
     for d in range(2, 6):
         for kind in KINDS:
             yield ["scan", "--dim", str(d), "--kind", kind, "--count", "30",
@@ -138,6 +163,8 @@ def commands():
             yield ["classify", *spec, "--oracle", "burnside", "--membership",
                    "--certificate", "--format", fmt], None, False
         yield ["qpoly", *spec, "--r", "2", "--s", "1"], None, False
+    yield ["classify", *RATIONAL_MODULUS, "--format", "text"], None, False
+    yield ["qpoly", *RATIONAL_MODULUS, "--eig", "3", "--format", "text"], None, False
     for spec in LONE_NEGATIVES:
         yield ["qpoly", *spec], None, False
         yield ["classify", *spec, "--oracle", "burnside", "--membership",
@@ -147,6 +174,9 @@ def commands():
             for broken in (False, True):
                 yield ["verify", "--check", check], ["construct", *pair], broken
         yield ["construct", *pair, "--format", "text"], None, False
+    for text in SYMBOLIC_PAIRS:
+        for fmt in ("json", "text"):
+            yield ["verify", "--format", fmt], text, False
     for argv in WORD_SPAN + USAGE:
         yield argv, None, False
 
@@ -161,7 +191,10 @@ def main(argv):
     root = os.path.abspath(argv[1] if len(argv) > 1 else os.path.join(__file__, "..", ".."))
     for args, source, broken in commands():
         stdin, shown = b"", shlex.join(args)
-        if source is not None:
+        if isinstance(source, str):
+            stdin = source.encode()
+            shown += " < " + source
+        elif source is not None:
             stdin = run(root, source).stdout
             if broken:
                 data = json.loads(stdin)

@@ -99,7 +99,7 @@ def specialize(scalar, assignment, target):
 
 def _eval_poly(p, context, assignment, target):
     total = target.zero
-    for mono, coeff in p.sorted_terms():
+    for mono, coeff in p.terms.items():
         term = target.const(coeff)
         for name, e in zip(context.names, mono):
             if e == 0:

@@ -20,6 +20,9 @@ import pytest
 
 from braidrep import cli
 from braidrep.cli import main
+from braidrep.laurent import LaurentPolynomial
+
+from corpus import SYMBOLIC_PAIRS
 
 # `python -m braidrep` subprocesses import the braidrep these tests import,
 # whether it is installed or found through pytest's pythonpath
@@ -649,6 +652,35 @@ def test_dims_exceptional_explains_each_mismatch_on_stderr(capsys):
     ]
     code, _, err = run_cli(capsys, ["dims", "--series", "bcd", "--format", "text"])
     assert (code, err) == (0, "")
+
+
+def test_every_laurent_coefficient_is_a_nonzero_int(capsys, monkeypatch):
+    # rationals stay in the scalar backends: the reader hands the Laurent
+    # layer integer polynomials, and no route forms a Fraction or a zero
+    # coefficient, on rational symbolic input and rational eigenvalues too
+    built, bad = [], []
+    real = LaurentPolynomial.__init__
+
+    def checked(self, context, terms):
+        built.append(len(terms))
+        bad.extend(c for c in terms.values() if type(c) is not int or c == 0)
+        real(self, context, terms)
+
+    monkeypatch.setattr(LaurentPolynomial, "__init__", checked)
+    runs = [(["dims", "--series", "exceptional"], None, 2), (["dims", "--series", "bcd"], None, 0)]
+    for d in range(2, 6):
+        code, out, _ = run_cli(capsys, ["construct", "--symbolic", "--dim", str(d)])
+        assert code == 0
+        runs.append((["verify"], out, 0))
+    runs += [(["verify"], text, code) for text, code in zip(SYMBOLIC_PAIRS, (0, 0, 2))]
+    runs += [
+        (["classify", "--modulus", "z^2+1", "--eig", "1/2", "--eig", "3"], None, 0),
+        (["qpoly", "--symbolic", "--dim", "5"], None, 0),
+    ]
+    for argv, stdin_text, expected in runs:
+        code, _, _ = run_cli(capsys, argv, stdin_text, monkeypatch)
+        assert code == expected, argv
+    assert len(built) > 1000 and bad == []
 
 
 def test_dims_unknown_series(capsys):

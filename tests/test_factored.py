@@ -19,7 +19,7 @@ UW = VarContext(("u", "w"))
 def to_symbolic(x, field):
     """The SymbolicField value of a factored element x."""
     unit, mono, atoms = x.value
-    out = field.from_poly(LaurentPolynomial(field.context, {mono: unit}))
+    out = field.const(unit) * field.from_poly(LaurentPolynomial(field.context, {mono: 1}))
     for (n, key), e in atoms.items():
         if n == 0:
             terms = dict(key)
